@@ -7,7 +7,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
 
 from .extraction import ExtractionError, run_extraction, write_extraction_report
@@ -29,19 +29,16 @@ from .ingest import (
     load_roster,
 )
 from .kb import KnowledgeBaseError, build_knowledge_base, load as load_kb, persist
-from .navigation import NavigationError, NoPathError, plan_to_payload, navigate
+from .navigation import NavigationError, NavPlan, NoPathError, plan_to_payload, navigate
 from .walkthrough import (
-    Checkpoint,
     FaultModel,
-    Mismatch,
     TruthManifest,
-    UnknownMarkerError,
-    confirm_checkpoint,
     format_report_table,
     evaluate_suite,
     load_routes,
     report_to_payload,
     reroute_from,
+    walk,
 )
 
 logger = logging.getLogger(__name__)
@@ -59,26 +56,40 @@ ENV_TIMEOUT = "FLOORNAV_TIMEOUT"
 
 PROVIDERS = ("live", "mock", "template-only")
 
+# What `walk` and `eval` report as an I/O error while reading the KB, truth or suite.
+_READ_ERRORS = (KnowledgeBaseError, FileNotFoundError, KeyError, ValueError)
 
-@dataclass
-class RunConfig:
-    building_id: str = "building"
-    provider: str = "template-only"
-    kb_dir: Path | None = None
-    truth_path: Path | None = None
-    mock_fixtures: Path | None = None
-    step_size_cm: float = 60.0
-    scale_cm_per_px: float | None = None
-    seed: int | None = None
-    fault_rate: float = 0.0
+# How `floornav walk` renders each walker event; kinds not listed print nothing.
+WALK_LINES = {
+    "planned": "walking {}",
+    "step": "{}",
+    "checkpoint": "scan checkpoint at {}:",
+    "unreadable": "alert: {!r} is not a marker id; continuing",
+    "unknown_marker": "alert: unknown marker {}; continuing",
+    "confirmed": "confirmed at {}",
+    "deviated": "alert: checkpoint mismatch, you are at {}",
+    "rerouted": "reroute: {}",
+    "reroute_failed": "reroute failed: {}",
+    "aborted": "aborted: {}",
+    "finished": "arrived",
+}
 
-    def __post_init__(self) -> None:
-        if self.provider not in PROVIDERS:
-            raise ValueError(f"unknown provider {self.provider!r}")
-        if self.provider == "live" and not os.environ.get(ENV_ENDPOINT):
-            raise ValueError(f"provider=live requires ${ENV_ENDPOINT}")
-        if self.fault_rate > 0 and self.seed is None:
-            raise ValueError("a fault rate requires --seed")
+
+class _Exit(Exception):
+    """Ends a command: `main` prints `error: <message>` and returns `code`."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _exit_on(code: int, *errors: type[Exception]):
+    """Turn the listed errors, raised inside the block, into `_Exit(code, ...)`."""
+    try:
+        yield
+    except errors as exc:
+        raise _Exit(code, str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,46 +99,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def make_gateway(config: RunConfig) -> LlmGateway | None:
-    if config.provider == "template-only":
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return value
+
+
+def make_gateway(args: argparse.Namespace) -> LlmGateway | None:
+    """The gateway `--provider` selects, or None for the template planner."""
+    if args.provider == "template-only":
         return None
-    if config.provider == "mock":
-        if config.mock_fixtures is None:
-            raise ValueError("provider=mock requires --mock-fixtures")
-        return LlmGateway(MockProvider.load_dir(config.mock_fixtures))
-    provider_config = ProviderConfig(
-        endpoint=os.environ[ENV_ENDPOINT],
-        model_name=os.environ.get(ENV_MODEL, "gpt-4o"),
-        auth_env=ENV_API_KEY,
-        timeout=float(os.environ.get(ENV_TIMEOUT, "30")),
-    )
+    if args.provider == "mock" and args.mock_fixtures is None:
+        raise _Exit(EXIT_USAGE, "provider=mock requires --mock-fixtures")
+    with _exit_on(EXIT_USAGE, ValueError, FileNotFoundError):
+        if args.provider == "mock":
+            return LlmGateway(MockProvider.load_dir(args.mock_fixtures))
+        provider_config = ProviderConfig(
+            endpoint=os.environ[ENV_ENDPOINT],
+            model_name=os.environ.get(ENV_MODEL, "gpt-4o"),
+            auth_env=ENV_API_KEY,
+            timeout=float(os.environ.get(ENV_TIMEOUT, "30")),
+        )
     return LlmGateway(HttpProvider(provider_config))
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        building_id=getattr(args, "building_id", "building"),
-        provider=args.provider,
-        kb_dir=Path(args.kb) if getattr(args, "kb", None) else None,
-        truth_path=Path(args.truth) if getattr(args, "truth", None) else None,
-        mock_fixtures=Path(args.mock_fixtures) if getattr(args, "mock_fixtures", None) else None,
-        step_size_cm=getattr(args, "step_size", 60.0),
-        scale_cm_per_px=getattr(args, "scale", None),
-        seed=getattr(args, "seed", None),
-        fault_rate=getattr(args, "fault_rate", 0.0),
-    )
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if config.provider == "template-only":
-        print("error: extract requires provider=mock or live", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    if args.provider == "template-only":
+        raise _Exit(EXIT_USAGE, "extract requires provider=mock or live")
+    with _exit_on(EXIT_IO, FileNotFoundError, DetectionFormatError):
         base = load_detections(args.detections, image_ref=args.image or "")
         tokens = load_ocr_tokens(*args.ocr) if args.ocr else []
         roster = load_roster(args.roster) if args.roster else None
@@ -138,29 +141,17 @@ def cmd_extract(args: argparse.Namespace) -> int:
             known=roster,
             rejected=base.rejected,
         )
-    except (FileNotFoundError, DetectionFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        gateway = make_gateway(config)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    gateway = make_gateway(args)
 
     try:
         result = run_extraction(gateway, args.image or "", dets,
                                 llm_critic=args.llm_critic)
     except ExtractionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for attempt, issues in exc.history:
-            for issue in issues:
-                print(f"  attempt {attempt}: {issue}", file=sys.stderr)
-        return EXIT_GATEWAY
-    except GatewayError as exc:
-        print(f"error: gateway failure: {exc}", file=sys.stderr)
-        return EXIT_GATEWAY
+        lines = [str(exc)] + [f"  attempt {attempt}: {issue}"
+                              for attempt, issues in exc.history for issue in issues]
+        raise _Exit(EXIT_GATEWAY, "\n".join(lines)) from exc
 
-    kb = build_knowledge_base(result.graph, dets, config.building_id)
+    kb = build_knowledge_base(result.graph, dets, args.building_id)
     persist(kb, args.out)
     if args.report:
         write_extraction_report(result, args.report)
@@ -186,21 +177,13 @@ def _suggest_room(kb, name: str) -> str | None:
 
 
 def cmd_navigate(args: argparse.Namespace) -> int:
-    try:
-        config = _config_from_args(args)
-        gateway = make_gateway(config)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        kb = load_kb(config.kb_dir)
-    except KnowledgeBaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    gateway = make_gateway(args)
+    with _exit_on(EXIT_IO, KnowledgeBaseError):
+        kb = load_kb(args.kb)
 
     try:
-        plan = navigate(kb, args.start, args.destination, config.step_size_cm,
-                        gateway=gateway, scale_cm_per_px=config.scale_cm_per_px)
+        plan = navigate(kb, args.start, args.destination, args.step_size,
+                        gateway=gateway, scale_cm_per_px=args.scale)
     except UnknownRoomError as exc:
         message = str(exc)
         for candidate in (args.start, args.destination):
@@ -209,14 +192,9 @@ def cmd_navigate(args: argparse.Namespace) -> int:
                 if suggestion:
                     message += f"; did you mean {suggestion!r}?"
                 break
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, message) from exc
     except NoPathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GatewayError as exc:
-        print(f"error: gateway failure: {exc}", file=sys.stderr)
-        return EXIT_GATEWAY
+        raise _Exit(EXIT_USAGE, str(exc)) from exc
 
     for step in plan.steps:
         print(f"{step.step}. {step.action} [heading {step.heading_after_step}] "
@@ -237,124 +215,54 @@ def cmd_navigate(args: argparse.Namespace) -> int:
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
-    try:
-        config = _config_from_args(args)
-        gateway = make_gateway(config)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        kb = load_kb(config.kb_dir)
-        truth = TruthManifest.load(config.truth_path)
-    except (KnowledgeBaseError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if config.scale_cm_per_px is None:
-        config.scale_cm_per_px = truth.scale_cm_per_px
+    gateway = make_gateway(args)
+    with _exit_on(EXIT_IO, *_READ_ERRORS):
+        kb = load_kb(args.kb)
+        truth = TruthManifest.load(args.truth)
+    scale = truth.scale_cm_per_px if args.scale is None else args.scale
+    with _exit_on(EXIT_USAGE, UnknownRoomError, NavigationError):
+        plan = navigate(kb, args.start, args.destination, args.step_size,
+                        gateway=gateway, scale_cm_per_px=scale)
 
     transcript: list[str] = []
 
-    def say(line: str) -> None:
-        transcript.append(line)
-        print(line)
-
-    def finish(code: int) -> int:
-        if args.transcript:
-            Path(args.transcript).write_text("\n".join(transcript) + "\n",
-                                             encoding="utf-8")
-        return code
-
-    try:
-        plan = navigate(kb, args.start, args.destination, config.step_size_cm,
-                        gateway=gateway, scale_cm_per_px=config.scale_cm_per_px)
-    except (UnknownRoomError, NavigationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GatewayError as exc:
-        print(f"error: gateway failure: {exc}", file=sys.stderr)
-        return EXIT_GATEWAY
-
-    destination = plan.path[-1]
-    say(f"walking {plan.path[0]} -> {destination} ({len(plan.steps)} steps)")
-    current = plan.path[0]
-    steps = list(plan.steps)
-    i = 0
-    while i < len(steps):
-        step = steps[i]
-        i += 1
-        say(f"{step.step}. {step.action} -- {step.confirmation}")
-        target = step.current_position
-        if kb.graph.has_room(target):
-            target = kb.graph.node(target).name
-        if target.lower() == current.lower():
-            continue
-        current = target
-        marker = truth.node_marker(current)
-        if marker is None:
-            continue
-        say(f"scan checkpoint at {current} (expected marker {marker}):")
+    def scan(expected_marker: int) -> str | None:
         line = sys.stdin.readline()
         if not line:
-            say("aborted: end of input")
-            return finish(EXIT_OK)
-        scanned_text = line.strip()
-        transcript.append(f"> {scanned_text}")
-        try:
-            scanned = int(scanned_text)
-        except ValueError:
-            say(f"alert: {scanned_text!r} is not a marker id; continuing")
-            continue
-        try:
-            outcome = confirm_checkpoint(truth, Checkpoint(marker, current), scanned)
-        except UnknownMarkerError:
-            say(f"alert: unknown marker {scanned}; continuing")
-            continue
-        if isinstance(outcome, Mismatch):
-            say(f"alert: checkpoint mismatch, you are at {outcome.detected_node}")
-            current = outcome.detected_node
-            try:
-                new_plan = reroute_from(kb, current, destination, config.step_size_cm,
-                                        gateway=gateway,
-                                        scale_cm_per_px=config.scale_cm_per_px)
-            except (NavigationError, UnknownRoomError) as exc:
-                say(f"reroute failed: {exc}")
-                return finish(EXIT_OK)
-            say(f"reroute: {current} -> {destination} ({len(new_plan.steps)} steps)")
-            steps = list(new_plan.steps)
-            i = 0
-            continue
-        say(f"confirmed at {current}")
-    say("arrived")
-    return finish(EXIT_OK)
+            return None
+        text = line.strip()
+        transcript.append(f"> {text}")
+        return text
+
+    def rerouter(room: str, destination: str) -> NavPlan:
+        return reroute_from(kb, room, destination, args.step_size,
+                            gateway=gateway, scale_cm_per_px=scale)
+
+    for event in walk(plan, kb.graph, truth, scan, rerouter):
+        if event.kind in WALK_LINES:
+            transcript.append(WALK_LINES[event.kind].format(event.detail))
+            print(transcript[-1])
+    if args.transcript:
+        Path(args.transcript).write_text("\n".join(transcript) + "\n", encoding="utf-8")
+    return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        config = _config_from_args(args)
-        gateway = make_gateway(config)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        kb = load_kb(config.kb_dir)
-        truth = TruthManifest.load(config.truth_path)
+    if args.fault_rate > 0 and args.seed is None:
+        raise _Exit(EXIT_USAGE, "a fault rate requires --seed")
+    gateway = make_gateway(args)
+    with _exit_on(EXIT_IO, *_READ_ERRORS):
+        kb = load_kb(args.kb)
+        truth = TruthManifest.load(args.truth)
         routes = load_routes(args.suite)
-    except (KnowledgeBaseError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     if not routes:
-        print("error: empty suite (SR undefined)", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "empty suite (SR undefined)")
 
-    fault_model = FaultModel(seed=config.seed, mismatch_rate=config.fault_rate) \
-        if config.fault_rate > 0 else FaultModel.none()
-    try:
-        report = evaluate_suite(routes, kb, truth, fault_model,
-                                step_size_cm=config.step_size_cm, gateway=gateway,
-                                scale_cm_per_px=config.scale_cm_per_px)
-    except GatewayError as exc:
-        print(f"error: gateway failure: {exc}", file=sys.stderr)
-        return EXIT_GATEWAY
+    fault_model = FaultModel(seed=args.seed, mismatch_rate=args.fault_rate) \
+        if args.fault_rate > 0 else FaultModel.none()
+    report = evaluate_suite(routes, kb, truth, fault_model,
+                            step_size_cm=args.step_size, gateway=gateway,
+                            scale_cm_per_px=args.scale)
     print(format_report_table(report))
     if args.report:
         Path(args.report).write_text(
@@ -373,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--provider", choices=PROVIDERS, default="template-only")
         p.add_argument("--mock-fixtures", help="mock fixture directory (provider=mock)")
-        p.add_argument("--step-size", type=float, default=60.0,
+        p.add_argument("--step-size", type=_positive_float, default=60.0,
                        help="walking step size in cm")
         p.add_argument("--scale", type=float, default=None,
                        help="pixel scale in cm/px (enables clearance checks)")
@@ -433,7 +341,17 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        # checked before any command reads a file
+        if args.provider == "live" and not os.environ.get(ENV_ENDPOINT):
+            raise _Exit(EXIT_USAGE, f"provider=live requires ${ENV_ENDPOINT}")
+        return args.func(args)
+    except _Exit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except GatewayError as exc:
+        print(f"error: gateway failure: {exc}", file=sys.stderr)
+        return EXIT_GATEWAY
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -193,12 +193,6 @@ class CriticReport:
     suggested_fixes: tuple[str, ...] = ()
     failed_checks: frozenset[str] = frozenset()
     flagged_edges: tuple[tuple[str, str], ...] = ()  # spatial-coherence offenders
-
-
-@dataclass
-class RetryContext:
-    attempt: int = 0
-    error_history: list[tuple[int, tuple[str, ...]]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -454,41 +448,40 @@ def run_extraction(
     last built graph is returned flagged degraded. Raises ExtractionError only
     when no attempt yields a parseable payload at all.
     """
-    retry = RetryContext()
+    history: list[tuple[int, tuple[str, ...]]] = []
     feedback: str | None = None
     last: tuple[FloorGraph, CriticReport] | None = None
 
     for attempt in range(r_c + 1):
-        retry.attempt = attempt
         try:
             raw = parse_floorplan(gateway, image_ref, dets, feedback=feedback)
         except ParseError as exc:
             logger.info("attempt %d: parse failed (%s)", attempt, exc)
-            retry.error_history.append((attempt, exc.diagnostics))
-            feedback = _feedback_block(retry.error_history)
+            history.append((attempt, exc.diagnostics))
+            feedback = _feedback_block(history)
             continue
         graph = build_graph(raw, dets)
         critic = critic_check(graph, dets, gateway=gateway if llm_critic else None)
         if critic.passed:
             return ExtractionResult(
                 graph=graph, passed=True, degraded=False, attempts=attempt + 1,
-                critic=critic, history=tuple(retry.error_history),
+                critic=critic, history=tuple(history),
             )
         logger.info("attempt %d: critic rejected graph (%d issues)",
                     attempt, len(critic.issues))
-        retry.error_history.append((attempt, critic.issues))
-        feedback = _feedback_block(retry.error_history)
+        history.append((attempt, critic.issues))
+        feedback = _feedback_block(history)
         last = (graph, critic)
 
     if last is not None:
         graph, critic = last
         return ExtractionResult(
             graph=graph, passed=False, degraded=True, attempts=r_c + 1,
-            critic=critic, history=tuple(retry.error_history),
+            critic=critic, history=tuple(history),
         )
     raise ExtractionError(
         f"no parseable floor-plan payload after {r_c + 1} attempts",
-        history=tuple(retry.error_history),
+        history=tuple(history),
     )
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import count
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .graph import FloorGraph, UnknownRoomError, bfs_shortest_path, graph_from_payload, \
     graph_to_payload, name_key
@@ -26,6 +27,7 @@ logger = logging.getLogger(__name__)
 ROUTE_CLASSES = ("short", "medium", "long")
 SHORT_MAX_HOPS = 2
 MEDIUM_MAX_HOPS = 5
+TRIAL_EVENTS = ("arrived", "scanned", "deviated")  # the walk events a TrialResult keeps
 
 
 class UnknownMarkerError(RuntimeError):
@@ -51,7 +53,7 @@ class Mismatch:
 
 @dataclass(frozen=True)
 class WalkEvent:
-    kind: str  # scanned | arrived | deviated
+    kind: str  # one of the kinds `walk` documents
     detail: str
 
 
@@ -64,30 +66,33 @@ class TruthManifest:
     inaccessible: frozenset[str] = frozenset()
     scale_cm_per_px: float | None = None
     building_id: str = ""
+    _room_of_marker: dict[int, str] = field(init=False, repr=False, compare=False)
+    _marker_of_room: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = [c.marker_id for c in self.checkpoints]
-        if len(set(ids)) != len(ids):
+        room_of_marker = {c.marker_id: c.node for c in self.checkpoints}
+        if len(room_of_marker) != len(self.checkpoints):
             raise ValueError("marker ids must be unique per building")
         for c in self.checkpoints:
             if not self.graph.has_room(c.node):
                 raise ValueError(f"checkpoint {c.marker_id} names unknown room {c.node!r}")
+        object.__setattr__(self, "_room_of_marker", room_of_marker)
+        # reversed, so a room with two markers answers with the first listed
+        object.__setattr__(self, "_marker_of_room", {
+            name_key(c.node): c.marker_id for c in reversed(self.checkpoints)
+        })
         object.__setattr__(
             self, "inaccessible", frozenset(name_key(r) for r in self.inaccessible)
         )
 
     def marker_node(self, marker_id: int) -> str:
-        for c in self.checkpoints:
-            if c.marker_id == marker_id:
-                return c.node
-        raise UnknownMarkerError(f"marker {marker_id} is not registered")
+        try:
+            return self._room_of_marker[marker_id]
+        except KeyError:
+            raise UnknownMarkerError(f"marker {marker_id} is not registered") from None
 
     def node_marker(self, room: str) -> int | None:
-        key = name_key(room)
-        for c in self.checkpoints:
-            if name_key(c.node) == key:
-                return c.marker_id
-        return None
+        return self._marker_of_room.get(name_key(room))
 
     def is_accessible(self, room: str) -> bool:
         return name_key(room) not in self.inaccessible
@@ -225,6 +230,88 @@ def classify_route(truth_graph: FloorGraph, start: str, destination: str) -> str
     return "long"
 
 
+def walk(
+    plan: NavPlan,
+    graph: FloorGraph,
+    truth: TruthManifest,
+    scan: Callable[[int], str | None],
+    rerouter: Callable[[str, str], NavPlan],
+) -> Iterator[WalkEvent]:
+    """The walker loop: replay a plan step by step, confirming checkpoints by scan.
+
+    Rooms are spelled as `graph` spells them. In a room with a marker the walker
+    asks `scan(expected_marker)` for the text read off a marker (None when no
+    scan will come). A scan of another room's marker moves the walker to that
+    room; when the consumer resumes past the `deviated` event, the walker
+    re-plans with `rerouter(room, destination)` and restarts on the new steps.
+    A consumer stops the walk by no longer iterating.
+
+    Event kinds, with their detail:
+
+    - `planned`: "start -> destination (N steps)", first of all
+    - `step`: "N. action -- confirmation", for every step
+    - `moving`: the next room as the plan spells it, before it is entered
+    - `arrived`: the room entered
+    - `checkpoint`: "room (expected marker M)", before `scan` is asked
+    - `unreadable`: the scanned text, when it is not an integer
+    - `scanned`: the marker id read, then one of
+      `unknown_marker` (the id), `confirmed` (the room) or `deviated` (the
+      marker's room)
+    - `rerouted`: "room -> destination (N steps)", after a re-plan
+    - `reroute_failed`: the planner's error; the walk ends
+    - `aborted`: "end of input", when `scan` returns None; the walk ends
+    - `finished`: the last room, after the last step
+    """
+    destination = plan.path[-1]
+    current = plan.path[0]
+    steps = plan.steps
+    yield WalkEvent("planned", f"{current} -> {destination} ({len(steps)} steps)")
+    i = 0
+    while i < len(steps):
+        step = steps[i]
+        i += 1
+        yield WalkEvent("step", f"{step.step}. {step.action} -- {step.confirmation}")
+        target = step.current_position
+        if name_key(target) == name_key(current):
+            continue
+        yield WalkEvent("moving", target)
+        current = graph.node(target).name if graph.has_room(target) else target
+        yield WalkEvent("arrived", current)
+
+        expected = truth.node_marker(current)
+        if expected is None:
+            continue
+        yield WalkEvent("checkpoint", f"{current} (expected marker {expected})")
+        text = scan(expected)
+        if text is None:
+            yield WalkEvent("aborted", "end of input")
+            return
+        try:
+            scanned = int(text)
+        except ValueError:
+            yield WalkEvent("unreadable", text)
+            continue
+        yield WalkEvent("scanned", str(scanned))
+        try:
+            outcome = confirm_checkpoint(truth, Checkpoint(expected, current), scanned)
+        except UnknownMarkerError:
+            yield WalkEvent("unknown_marker", str(scanned))
+            continue
+        if isinstance(outcome, Confirmed):
+            yield WalkEvent("confirmed", current)
+            continue
+        current = outcome.detected_node
+        yield WalkEvent("deviated", current)
+        try:
+            steps = rerouter(current, destination).steps
+        except (NavigationError, UnknownRoomError) as exc:
+            yield WalkEvent("reroute_failed", str(exc))
+            return
+        yield WalkEvent("rerouted", f"{current} -> {destination} ({len(steps)} steps)")
+        i = 0
+    yield WalkEvent("finished", current)
+
+
 def simulate_walk(
     plan: NavPlan,
     truth: TruthManifest,
@@ -246,61 +333,43 @@ def simulate_walk(
     current = plan.path[0]
     events: list[WalkEvent] = []
     reroutes = 0
-    scan_index = 0
-    steps = list(plan.steps)
+    scan_index = count()
 
     def fail(reason: str) -> TrialResult:
         return TrialResult(route_id=route_id, route_class=route_class, success=False,
                            reroutes=reroutes, failure_reason=reason,
                            events=tuple(events))
 
+    def scan(expected: int) -> str:
+        return str(fault_model.scanned_marker(route_id, next(scan_index), expected, truth))
+
     if not truth.graph.has_room(current):
         return fail(f"start room {current!r} does not exist in truth")
 
-    i = 0
-    while i < len(steps):
-        target = steps[i].current_position
-        i += 1
-        if name_key(target) == name_key(current):
-            continue
-        if not truth.graph.has_room(target):
-            return fail(f"invalid transition: {current} -> {target} (room not in truth)")
-        if not truth.graph.adjacent(current, target):
-            return fail(f"invalid transition: {current} -> {target}")
-        if not truth.is_accessible(target):
-            return fail(f"entered inaccessible area: {target}")
-        current = truth.graph.node(target).name
-        events.append(WalkEvent("arrived", current))
-
-        expected_marker = truth.node_marker(current)
-        if expected_marker is None:
-            continue
-        scanned = fault_model.scanned_marker(route_id, scan_index, expected_marker, truth)
-        scan_index += 1
-        events.append(WalkEvent("scanned", str(scanned)))
-        if scanned == expected_marker:
-            continue
-        try:
-            outcome = confirm_checkpoint(
-                truth, Checkpoint(expected_marker, current), scanned
-            )
-        except UnknownMarkerError:
-            logger.warning("route %s: unregistered marker %d scanned", route_id, scanned)
-            continue
-        assert isinstance(outcome, Mismatch)
-        current = outcome.detected_node
-        events.append(WalkEvent("deviated", current))
-        if rerouter is None:
-            return fail(f"checkpoint mismatch at {current} without reroute support")
-        if reroutes >= max_reroutes:
-            return fail("reroute limit exceeded")
-        try:
-            new_plan = rerouter(current, destination)
-        except (NavigationError, UnknownRoomError) as exc:
-            return fail(f"reroute failed: {exc}")
-        reroutes += 1
-        steps = list(new_plan.steps)
-        i = 0
+    for event in walk(plan, truth.graph, truth, scan, rerouter):
+        kind, detail = event.kind, event.detail
+        if kind in TRIAL_EVENTS:
+            events.append(event)
+        if kind in ("arrived", "deviated"):
+            current = detail
+        if kind == "moving":
+            if not truth.graph.has_room(detail):
+                return fail(f"invalid transition: {current} -> {detail} (room not in truth)")
+            if not truth.graph.adjacent(current, detail):
+                return fail(f"invalid transition: {current} -> {detail}")
+            if not truth.is_accessible(detail):
+                return fail(f"entered inaccessible area: {detail}")
+        elif kind == "unknown_marker":
+            logger.warning("route %s: unregistered marker %s scanned", route_id, detail)
+        elif kind == "deviated":
+            if rerouter is None:
+                return fail(f"checkpoint mismatch at {current} without reroute support")
+            if reroutes >= max_reroutes:
+                return fail("reroute limit exceeded")
+        elif kind == "rerouted":
+            reroutes += 1
+        elif kind == "reroute_failed":
+            return fail(f"reroute failed: {detail}")
 
     if name_key(current) != name_key(destination):
         return fail(f"did not reach destination (stopped in {current})")
@@ -319,11 +388,7 @@ def reroute_from(
     """Re-plan from a detected checkpoint, reusing the active step size."""
     plan = navigate(kb, current, destination, step_size_cm,
                     gateway=gateway, scale_cm_per_px=scale_cm_per_px)
-    return NavPlan(
-        path=plan.path, steps=plan.steps, hazards=plan.hazards,
-        rerouted=plan.rerouted, safe=plan.safe, degraded=plan.degraded,
-        prior_hazards=plan.prior_hazards, is_reroute=True,
-    )
+    return replace(plan, is_reroute=True)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ import json
 import pytest
 
 import buildings
+from conftest import valid_planner_response
 from floornav.cli import (
+    ENV_ENDPOINT,
     EXIT_DEGRADED,
     EXIT_GATEWAY,
     EXIT_IO,
@@ -12,8 +14,10 @@ from floornav.cli import (
     EXIT_USAGE,
     main,
 )
-from floornav.gateway import MockProvider
+from floornav.gateway import LlmGateway, MockProvider
+from floornav.graph import FloorGraph, GraphEdge, RoomNode, rebuild_adjacency
 from floornav.kb import build_knowledge_base, load as load_kb, persist
+from floornav.navigation import navigate
 from floornav.walkthrough import FaultModel, reroute_from, simulate_walk
 
 
@@ -230,6 +234,74 @@ class TestWalk:
         assert code == EXIT_OK
         assert "aborted: end of input" in transcript.read_text()
 
+    def test_scripted_session_output_and_transcript(self, nine_room_env, tmp_path,
+                                                    capsys, monkeypatch):
+        # Room 06 -> Room 04 -> Room 01 -> Room 02 -> Room 03: a confirmed scan,
+        # a non-integer line, an unregistered marker, a wrong marker (Room 07's)
+        # with its reroute, then end of input at the first rerouted checkpoint.
+        monkeypatch.setattr("sys.stdin", io.StringIO("4\nabc\n999\n7\n"))
+        transcript = tmp_path / "walk.txt"
+        code = main(["walk", "--kb", str(nine_room_env["kb"]),
+                     "--truth", str(nine_room_env["truth"]),
+                     "--transcript", str(transcript), "Room 06", "Room 03"])
+        assert code == EXIT_OK
+        assert transcript.read_text() == WALK_SESSION
+        # stdout is the transcript without the echoed "> " input lines
+        assert capsys.readouterr().out == "".join(
+            line for line in WALK_SESSION.splitlines(keepends=True)
+            if not line.startswith("> "))
+
+    def test_gateway_failure_during_reroute_exits_three(self, nine_room_env, tmp_path,
+                                                        capsys, monkeypatch):
+        kb = nine_room_env["kb_obj"]
+        scale = nine_room_env["truth_manifest"].scale_cm_per_px
+        recorder = MockProvider()
+        recorder.script("planner", [valid_planner_response(
+            navigate(kb, "Room 06", "Room 03", 60.0).path)])
+        first = navigate(kb, "Room 06", "Room 03", 60.0, gateway=LlmGateway(recorder),
+                         scale_cm_per_px=scale)
+        assert not first.degraded
+        # a fixture for the first planner request only: the re-plan gets no reply
+        provider = MockProvider()
+        provider.fixture_for("planner", recorder.calls[0].bindings,
+                             recorder.calls[0].response)
+        provider.save_dir(tmp_path / "first-plan-only")
+        monkeypatch.setattr("sys.stdin", io.StringIO("4\n7\n"))
+        code = main(["walk", "--provider", "mock",
+                     "--mock-fixtures", str(tmp_path / "first-plan-only"),
+                     "--kb", str(nine_room_env["kb"]),
+                     "--truth", str(nine_room_env["truth"]), "Room 06", "Room 03"])
+        assert code == EXIT_GATEWAY
+        assert capsys.readouterr().err == \
+            "error: gateway failure: no mock response for template 'planner'\n"
+
+
+WALK_SESSION = """\
+walking Room 06 -> Room 03 (7 steps)
+1. Move forward 27 -- Pass through Door_D5 into Room 04
+scan checkpoint at Room 04 (expected marker 4):
+> 4
+confirmed at Room 04
+2. Turn right -- You should now be facing N
+3. Move forward 13 -- Pass through Door_D3 into Room 01
+scan checkpoint at Room 01 (expected marker 1):
+> abc
+alert: 'abc' is not a marker id; continuing
+4. Turn right -- You should now be facing E
+5. Move forward 13 -- Pass through Door_D1 into Room 02
+scan checkpoint at Room 02 (expected marker 2):
+> 999
+alert: unknown marker 999; continuing
+6. Move forward 13 -- Pass through Door_D2 into Room 03
+scan checkpoint at Room 03 (expected marker 3):
+> 7
+alert: checkpoint mismatch, you are at Room 07
+reroute: Room 07 -> Room 03 (4 steps)
+1. Move forward 30 -- Pass through Door_D6 into Room 02
+scan checkpoint at Room 02 (expected marker 2):
+aborted: end of input
+"""
+
 
 class TestEval:
     def write_suite(self, tmp_path, routes):
@@ -297,3 +369,147 @@ class TestUsage:
 
     def test_missing_required_flag_exits_one(self, capsys):
         assert main(["navigate", "A", "B"]) == EXIT_USAGE
+
+
+@pytest.fixture
+def error_env(tmp_path, nine_room_env, golden_files):
+    """Paths for every CLI error path: good inputs, broken ones and missing ones."""
+    paths = {"kb": nine_room_env["kb"], "truth": nine_room_env["truth"],
+             "dets": golden_files["detections"], "fixtures": golden_files["fixtures"],
+             "out": tmp_path / "out-kb"}
+    for name in ("no_dets", "no_kb", "no_truth", "no_suite", "no_fixtures"):
+        paths[name] = tmp_path / name
+    for name, text in (("bad_dets", '{"class": "door"}'), ("bad_truth", "{}"),
+                       ("suite", '[{"start": "Room 01", "destination": "Room 02"}]'),
+                       ("empty_suite", "[]"), ("object_suite", '{"routes": []}')):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    garbage = MockProvider()
+    garbage.script("parser", ["not json at all"])
+    for name, provider in (("garbage_fixtures", garbage), ("empty_fixtures", MockProvider())):
+        paths[name] = tmp_path / name
+        provider.save_dir(paths[name])
+    # the nine-room building plus a two-room island no door reaches
+    graph = nine_room_env["graph"]
+    nodes = graph.nodes + (RoomNode(name="Island", centroid=(5000, 5000)),
+                           RoomNode(name="Isle2", centroid=(5100, 5000)))
+    edges = graph.edges + (GraphEdge(from_room="Island", to_room="Isle2"),)
+    island = FloorGraph(nodes=nodes, edges=edges, adjacency=rebuild_adjacency(nodes, edges))
+    paths["island_kb"] = tmp_path / "island-kb"
+    persist(build_knowledge_base(island, buildings.golden_detections(), "island"),
+            paths["island_kb"])
+    return {name: str(path) for name, path in paths.items()}
+
+
+EXTRACT = ["extract", "--detections", "{dets}", "--out", "{out}"]
+MOCK = ["--provider", "mock", "--mock-fixtures"]
+WALK = ["walk", "--kb", "{kb}", "--truth", "{truth}"]
+EVAL = ["eval", "--kb", "{kb}", "--truth", "{truth}"]
+
+# (argv, exit code, stderr); "{name}" fields are error_env paths. The order of
+# the checks is pinned too: the live/seed flag checks come first; in extract the
+# template-only check precedes ingest, and ingest precedes the mock-fixture check.
+ERROR_PATHS = {
+    "extract-template-only": (EXTRACT, EXIT_USAGE,
+                              "error: extract requires provider=mock or live\n"),
+    "extract-template-only-before-ingest": (
+        ["extract", "--detections", "{no_dets}", "--out", "{out}"], EXIT_USAGE,
+        "error: extract requires provider=mock or live\n"),
+    "extract-live-without-endpoint": (
+        ["extract", "--provider", "live", "--detections", "{no_dets}", "--out", "{out}"],
+        EXIT_USAGE, f"error: provider=live requires ${ENV_ENDPOINT}\n"),
+    "extract-mock-without-fixtures": (EXTRACT + ["--provider", "mock"], EXIT_USAGE,
+                                      "error: provider=mock requires --mock-fixtures\n"),
+    "extract-ingest-before-mock-check": (
+        ["extract", "--provider", "mock", "--detections", "{no_dets}", "--out", "{out}"],
+        EXIT_IO, "error: no such file: {no_dets}\n"),
+    "extract-missing-fixture-dir": (
+        EXTRACT + MOCK + ["{no_fixtures}"], EXIT_USAGE,
+        "error: no mock fixture index at {no_fixtures}/index.json\n"),
+    "extract-malformed-detections": (
+        ["extract", "--detections", "{bad_dets}", "--out", "{out}"] + MOCK + ["{fixtures}"],
+        EXIT_IO, "error: {bad_dets}: expected a top-level JSON array\n"),
+    "extract-unparseable-reply": (
+        EXTRACT + MOCK + ["{garbage_fixtures}"], EXIT_GATEWAY,
+        "error: no parseable floor-plan payload after 3 attempts\n" + "".join(
+            f"  attempt {n}: payload extraction failed: no balanced JSON object or "
+            "array found: 'not json at all'\n" for n in range(3))),
+    "extract-gateway-failure": (
+        EXTRACT + MOCK + ["{empty_fixtures}"], EXIT_GATEWAY,
+        "error: gateway failure: no mock response for template 'parser'\n"),
+    "navigate-live-without-endpoint": (
+        ["navigate", "--provider", "live", "--kb", "{no_kb}", "A", "B"], EXIT_USAGE,
+        f"error: provider=live requires ${ENV_ENDPOINT}\n"),
+    "navigate-missing-kb": (["navigate", "--kb", "{no_kb}", "A", "B"], EXIT_IO,
+                            "error: no knowledge base at {no_kb}\n"),
+    "navigate-gateway-failure": (
+        ["navigate", "--kb", "{kb}", "Room 01", "Room 03"] + MOCK + ["{empty_fixtures}"],
+        EXIT_GATEWAY, "error: gateway failure: no mock response for template 'planner'\n"),
+    "navigate-unknown-room-suggested": (
+        ["navigate", "--kb", "{kb}", "Rom 01", "Room 03"], EXIT_USAGE,
+        "error: unknown room 'Rom 01'; did you mean 'Room 01'?\n"),
+    "navigate-unknown-room": (
+        ["navigate", "--kb", "{kb}", "Room 01", "Attic"], EXIT_USAGE,
+        "error: unknown room 'Attic'\n"),
+    "navigate-no-path": (
+        ["navigate", "--kb", "{island_kb}", "Room 01", "Island"], EXIT_USAGE,
+        "error: no route between 'Room 01' and 'Island'\n"),
+    "walk-live-without-endpoint": (
+        ["walk", "--provider", "live", "--kb", "{no_kb}", "--truth", "{no_truth}",
+         "A", "B"], EXIT_USAGE, f"error: provider=live requires ${ENV_ENDPOINT}\n"),
+    "walk-missing-kb": (
+        ["walk", "--kb", "{no_kb}", "--truth", "{truth}", "A", "B"], EXIT_IO,
+        "error: no knowledge base at {no_kb}\n"),
+    "walk-missing-truth": (
+        ["walk", "--kb", "{kb}", "--truth", "{no_truth}", "A", "B"], EXIT_IO,
+        "error: [Errno 2] No such file or directory: '{no_truth}'\n"),
+    "walk-malformed-truth": (
+        ["walk", "--kb", "{kb}", "--truth", "{bad_truth}", "A", "B"], EXIT_IO,
+        "error: 'graph'\n"),
+    "walk-unknown-room-never-suggests": (
+        WALK + ["Rom 01", "Room 03"], EXIT_USAGE, "error: unknown room 'Rom 01'\n"),
+    "walk-gateway-failure": (
+        WALK + MOCK + ["{empty_fixtures}", "Room 01", "Room 03"], EXIT_GATEWAY,
+        "error: gateway failure: no mock response for template 'planner'\n"),
+    "eval-live-without-endpoint": (
+        EVAL + ["--suite", "{suite}", "--provider", "live", "--fault-rate", "0.5"],
+        EXIT_USAGE, f"error: provider=live requires ${ENV_ENDPOINT}\n"),
+    "eval-fault-rate-without-seed": (
+        ["eval", "--kb", "{no_kb}", "--truth", "{no_truth}", "--suite", "{no_suite}",
+         "--fault-rate", "0.5"], EXIT_USAGE, "error: a fault rate requires --seed\n"),
+    "eval-missing-kb": (
+        ["eval", "--kb", "{no_kb}", "--truth", "{truth}", "--suite", "{suite}"],
+        EXIT_IO, "error: no knowledge base at {no_kb}\n"),
+    "eval-missing-suite": (EVAL + ["--suite", "{no_suite}"], EXIT_IO,
+                           "error: [Errno 2] No such file or directory: '{no_suite}'\n"),
+    "eval-empty-suite": (EVAL + ["--suite", "{empty_suite}"], EXIT_USAGE,
+                         "error: empty suite (SR undefined)\n"),
+    "eval-non-array-suite": (EVAL + ["--suite", "{object_suite}"], EXIT_IO,
+                             "error: {object_suite}: expected a JSON array of routes\n"),
+    "eval-gateway-failure": (
+        EVAL + ["--suite", "{suite}"] + MOCK + ["{empty_fixtures}"], EXIT_GATEWAY,
+        "error: gateway failure: no mock response for template 'planner'\n"),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", list(ERROR_PATHS))
+    def test_error_path_exit_code_and_stderr(self, case, error_env, capsys, monkeypatch):
+        monkeypatch.delenv(ENV_ENDPOINT, raising=False)
+        argv, code, err = ERROR_PATHS[case]
+        assert main([arg.format(**error_env) for arg in argv]) == code
+        assert capsys.readouterr().err == err.format(**error_env)
+
+    @pytest.mark.parametrize("step_size", ["0", "-5"])
+    @pytest.mark.parametrize("command", [
+        ["navigate", "--kb", "{kb}", "Room 01", "Room 03"],
+        WALK + ["Room 01", "Room 03"],
+        EVAL + ["--suite", "{suite}"],
+    ], ids=["navigate", "walk", "eval"])
+    def test_non_positive_step_size_is_usage_error(self, command, step_size, error_env,
+                                                   capsys):
+        argv = [arg.format(**error_env) for arg in command]
+        assert main(argv + ["--step-size", step_size]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: floornav {command[0]} ")
+        assert err.endswith(f"argument --step-size: {step_size!r} is not a positive number\n")

@@ -32,6 +32,7 @@ from floornav.walkthrough import (
     load_routes,
     reroute_from,
     simulate_walk,
+    walk,
 )
 
 
@@ -142,6 +143,31 @@ class TestSimulateWalk:
         trial = simulate_walk(plan, truth, fault, rerouter=None)
         assert not trial.success
         assert "without reroute" in trial.failure_reason
+
+
+class TestWalk:
+    def test_rerouter_runs_only_when_resumed_past_deviated(self, nine_room):
+        kb, truth = nine_room
+        plan = navigate(kb, "Room 01", "Room 09", 60.0)
+        assert plan.path == ("Room 01", "Room 02", "Room 09")
+        calls = []
+
+        def rerouter(room, destination):
+            calls.append((room, destination))
+            return reroute_from(kb, room, destination, 60.0)
+
+        # every scan reads Room 07's marker
+        events = walk(plan, truth.graph, truth, lambda expected: "7", rerouter)
+        kinds = []
+        for event in events:
+            kinds.append(event.kind)
+            if event.kind == "deviated":
+                break
+        assert kinds == ["planned", "step", "moving", "arrived", "checkpoint",
+                         "scanned", "deviated"]
+        assert event.detail == "Room 07" and calls == []
+        assert next(events).kind == "rerouted"
+        assert calls == [("Room 07", "Room 09")]
 
 
 class TestRerouteFrom:
