@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -29,7 +30,7 @@ from .ingest import (
     load_roster,
 )
 from .kb import KnowledgeBaseError, build_knowledge_base, load as load_kb, persist
-from .navigation import NavigationError, NavPlan, NoPathError, plan_to_payload, navigate
+from .navigation import NavigationError, NavPlan, plan_to_payload, navigate
 from .walkthrough import (
     FaultModel,
     TruthManifest,
@@ -55,6 +56,7 @@ ENV_API_KEY = "FLOORNAV_API_KEY"
 ENV_TIMEOUT = "FLOORNAV_TIMEOUT"
 
 PROVIDERS = ("live", "mock", "template-only")
+MIN_STEP_SIZE_CM = 1.0
 
 # What `walk` and `eval` report as an I/O error while reading the KB, truth or suite.
 _READ_ERRORS = (KnowledgeBaseError, FileNotFoundError, KeyError, ValueError)
@@ -99,13 +101,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_float(text: str) -> float:
+def _step_size_cm(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not value > 0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    if not MIN_STEP_SIZE_CM <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite step of at least {MIN_STEP_SIZE_CM:g} cm")
     return value
 
 
@@ -168,12 +173,25 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _suggest_room(kb, name: str) -> str | None:
+def _suggestion(kb, rooms: tuple[str, ...]) -> str:
+    """The "; did you mean ...?" suffix for the first unknown room, or "" if no label is near."""
+    unknown = next((room for room in rooms if not kb.graph.has_room(room)), None)
     names = kb.graph.names()
-    if not names:
-        return None
-    best = max(names, key=lambda n: levenshtein_ratio(name, n))
-    return best if levenshtein_ratio(name, best) >= 0.4 else None
+    if unknown is None or not names:
+        return ""
+    best = max(names, key=lambda n: levenshtein_ratio(unknown, n))
+    return f"; did you mean {best!r}?" if levenshtein_ratio(unknown, best) >= 0.4 else ""
+
+
+def _plan(kb, args: argparse.Namespace, gateway: LlmGateway | None, scale: float | None) -> NavPlan:
+    """Plan the route; an unknown room or a missing route is a usage error."""
+    try:
+        return navigate(kb, args.start, args.destination, args.step_size,
+                        gateway=gateway, scale_cm_per_px=scale)
+    except UnknownRoomError as exc:
+        raise _Exit(EXIT_USAGE, str(exc) + _suggestion(kb, (args.start, args.destination))) from exc
+    except NavigationError as exc:
+        raise _Exit(EXIT_USAGE, str(exc)) from exc
 
 
 def cmd_navigate(args: argparse.Namespace) -> int:
@@ -181,20 +199,7 @@ def cmd_navigate(args: argparse.Namespace) -> int:
     with _exit_on(EXIT_IO, KnowledgeBaseError):
         kb = load_kb(args.kb)
 
-    try:
-        plan = navigate(kb, args.start, args.destination, args.step_size,
-                        gateway=gateway, scale_cm_per_px=args.scale)
-    except UnknownRoomError as exc:
-        message = str(exc)
-        for candidate in (args.start, args.destination):
-            if not kb.graph.has_room(candidate):
-                suggestion = _suggest_room(kb, candidate)
-                if suggestion:
-                    message += f"; did you mean {suggestion!r}?"
-                break
-        raise _Exit(EXIT_USAGE, message) from exc
-    except NoPathError as exc:
-        raise _Exit(EXIT_USAGE, str(exc)) from exc
+    plan = _plan(kb, args, gateway, args.scale)
 
     for step in plan.steps:
         print(f"{step.step}. {step.action} [heading {step.heading_after_step}] "
@@ -220,9 +225,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
         kb = load_kb(args.kb)
         truth = TruthManifest.load(args.truth)
     scale = truth.scale_cm_per_px if args.scale is None else args.scale
-    with _exit_on(EXIT_USAGE, UnknownRoomError, NavigationError):
-        plan = navigate(kb, args.start, args.destination, args.step_size,
-                        gateway=gateway, scale_cm_per_px=scale)
+    plan = _plan(kb, args, gateway, scale)
 
     transcript: list[str] = []
 
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--provider", choices=PROVIDERS, default="template-only")
         p.add_argument("--mock-fixtures", help="mock fixture directory (provider=mock)")
-        p.add_argument("--step-size", type=_positive_float, default=60.0,
+        p.add_argument("--step-size", type=_step_size_cm, default=60.0,
                        help="walking step size in cm")
         p.add_argument("--scale", type=float, default=None,
                        help="pixel scale in cm/px (enables clearance checks)")

@@ -8,12 +8,10 @@ back to whatever produced the graph.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -449,12 +447,3 @@ def graph_from_payload(payload: dict) -> FloorGraph:
     adjacency = np.array(matrix, dtype=int) if matrix else rebuild_adjacency(nodes, edges)
     return FloorGraph(nodes=tuple(nodes), edges=tuple(edges), adjacency=adjacency)
 
-
-def save_graph(g: FloorGraph, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(graph_to_payload(g), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def load_graph(path: str | Path) -> FloorGraph:
-    return graph_from_payload(json.loads(Path(path).read_text(encoding="utf-8")))

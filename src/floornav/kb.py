@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import re
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,14 +27,14 @@ from .graph import (
     graph_from_payload,
     graph_to_payload,
     name_key,
+    rebuild_adjacency,
 )
 from .ingest import Detection, DetectionSet
 from .ingest import detection_summary as summarize_detections
 
-logger = logging.getLogger(__name__)
-
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_DIMENSION = 256
+MAX_DIMENSION = 1 << 16  # bounds the vectors `load` allocates from a store's dimension header
 
 _CARDINAL_WORD = {"N": "North", "E": "East", "S": "South", "W": "West"}
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -123,11 +123,6 @@ class VectorIndex:
         ids = [doc_id for doc_id, _ in self.entries]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate doc_id in vector index")
-        for doc_id, vec in self.entries:
-            if vec.shape != (self.dimension,):
-                raise ValueError(f"vector for {doc_id!r} has wrong dimension")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"vector for {doc_id!r} has non-finite entries")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorIndex):
@@ -138,21 +133,11 @@ class VectorIndex:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VisualContext:
     image_ref: str
     detections: DetectionSet
     element_notes: tuple[tuple[str, str], ...] = ()
-
-    def notes(self) -> dict[str, str]:
-        return dict(self.element_notes)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VisualContext):
-            return NotImplemented
-        return (self.image_ref == other.image_ref
-                and self.detections == other.detections
-                and self.element_notes == other.element_notes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +171,13 @@ class KnowledgeBase:
                 and self.visual == other.visual)
 
 
+def _wall_side(g: FloorGraph, edge: GraphEdge) -> str:
+    """Compass word for the wall of `edge.from_room` that holds the door's bbox centre."""
+    x1, y1, x2, y2 = edge.door_bbox
+    return _CARDINAL_WORD[cardinal_between(g.node(edge.from_room).centroid,
+                                           ((x1 + x2) / 2.0, (y1 + y2) / 2.0))]
+
+
 def _door_note(g: FloorGraph, edge: GraphEdge, det: Detection | None) -> str:
     """Rule-template visual note for a door (VLM hook can replace this)."""
     a, b = edge.from_room, edge.to_room
@@ -196,9 +188,7 @@ def _door_note(g: FloorGraph, edge: GraphEdge, det: Detection | None) -> str:
         lines.append(f"Center: {_fmt_point(det.center)}")
     lines.append(f"Room A: {a} | Room B: {b}")
     if edge.door_bbox is not None:
-        cx = (edge.door_bbox[0] + edge.door_bbox[2]) / 2.0
-        cy = (edge.door_bbox[1] + edge.door_bbox[3]) / 2.0
-        side = _CARDINAL_WORD[cardinal_between(g.node(a).centroid, (cx, cy))]
+        side = _wall_side(g, edge)
         lines.append(f"Wall side: {side} wall of {a}")
         lines.append("Door type: hinged single door")
         lines.append(
@@ -242,6 +232,12 @@ def build_semantic_docs(
         side = _CARDINAL_WORD[cardinal_between(nearest.centroid, det.center)]
         window_sides.setdefault(name_key(nearest.name), []).append(f"{side} wall")
 
+    doors_of: dict[str, list[GraphEdge]] = {}
+    for edge in g.edges:
+        if edge.is_door:
+            for key in edge.pair_key():
+                doors_of.setdefault(key, []).append(edge)
+
     for node in g.nodes:
         lines = [f"Room: {node.name}"]
         size = format_size(node.size_m2, None)
@@ -251,10 +247,8 @@ def build_semantic_docs(
         if node.ocr_confidence is not None:
             lines.append(f"OCR confidence: {node.ocr_confidence:.2f}")
 
-        door_edges = sorted(
-            (e for e in g.edges if e.is_door and name_key(node.name) in e.pair_key()),
-            key=lambda e: int(e.via.rsplit("D", 1)[1]),
-        )
+        door_edges = sorted(doors_of.get(name_key(node.name), ()),
+                            key=lambda e: int(e.via.rsplit("D", 1)[1]))
         if door_edges:
             entries = "; ".join(
                 f"{e.via} to {e.to_room if name_key(e.from_room) == name_key(node.name) else e.from_room}"
@@ -290,10 +284,7 @@ def build_semantic_docs(
         lines = [f"Door: {edge.via}", f"Connects: {edge.from_room} <-> {edge.to_room}"]
         if edge.door_bbox is not None:
             lines.append(f"Position (bbox): {_fmt_bbox(edge.door_bbox)}")
-            cx = (edge.door_bbox[0] + edge.door_bbox[2]) / 2.0
-            cy = (edge.door_bbox[1] + edge.door_bbox[3]) / 2.0
-            side = _CARDINAL_WORD[cardinal_between(g.node(edge.from_room).centroid, (cx, cy))]
-            lines.append(f"Wall side: {side} wall of {edge.from_room}")
+            lines.append(f"Wall side: {_wall_side(g, edge)} wall of {edge.from_room}")
             lines.append("Door type: hinged single door")
         docs.append(SemanticDoc(
             doc_id=unique(f"door:{edge.via}"), kind="door", body="\n".join(lines),
@@ -444,7 +435,7 @@ def assemble_context(kb: KnowledgeBase, start: str, destination: str,
                 door_ids.append(edge.via)
             break  # one transition card per leg
 
-    notes = kb.visual.notes()
+    notes = dict(kb.visual.element_notes)
     door_notes = tuple((d, notes[d]) for d in door_ids if d in notes)
     hits = tuple(retrieve(kb, f"navigate from {start} to {destination}", k))
     return NavigationContext(
@@ -478,27 +469,25 @@ def _write_atomic(path: Path, payload) -> None:
 
 
 def persist(kb: KnowledgeBase, directory: str | Path) -> None:
-    """Write the store; repeated persists of the same KB are byte-identical."""
+    """Write the store's source facts; repeated persists of the same KB are byte-identical."""
+    if not np.array_equal(kb.graph.adjacency, rebuild_adjacency(kb.graph.nodes, kb.graph.edges)):
+        raise KnowledgeBaseError("graph adjacency disagrees with its edges; "
+                                 "the store keeps only the edges")
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     _write_atomic(root / _MANIFEST, {
         "schema_version": SCHEMA_VERSION,
         "building_id": kb.building_id,
-        "dimension": kb.index.dimension,
     })
-    _write_atomic(root / "graph.json", graph_to_payload(kb.graph))
+    graph = graph_to_payload(kb.graph)
+    del graph["adjacency_matrix"]
+    _write_atomic(root / "graph.json", graph)
     _write_atomic(root / "docs.json", [
         {"doc_id": d.doc_id, "kind": d.kind, "body": d.body,
          "source_refs": list(d.source_refs)}
         for d in kb.docs
     ])
-    _write_atomic(root / "vectors.json", {
-        "dimension": kb.index.dimension,
-        "rows": [
-            {"doc_id": doc_id, "vector": [float(v) for v in vec]}
-            for doc_id, vec in kb.index.entries
-        ],
-    })
+    _write_atomic(root / "vectors.json", {"dimension": kb.index.dimension})
     dets = kb.visual.detections
     _write_atomic(root / "visual.json", {
         "image_ref": kb.visual.image_ref,
@@ -508,11 +497,25 @@ def persist(kb: KnowledgeBase, directory: str | Path) -> None:
             for d in dets.detections
         ],
         "labels": [[name, list(pos)] for name, pos in dets.labels],
-        "element_notes": [[door_id, note] for door_id, note in kb.visual.element_notes],
     })
 
 
-def load(directory: str | Path, embedder: HashEmbedder | None = None) -> KnowledgeBase:
+def _check_docs(g: FloorGraph, docs: tuple[SemanticDoc, ...]) -> None:
+    """One room card per node, one door card per door edge, one transition card per edge."""
+    found = Counter(d.kind for d in docs)
+    needed = Counter(room=len(g.nodes), door=sum(e.is_door for e in g.edges),
+                     transition=len(g.edges))
+    if found != needed:
+        raise CorruptStoreError(
+            f"docs.json holds {dict(found)} cards, the graph needs {dict(needed)}")
+    for d in docs:
+        for ref in d.source_refs:
+            if not g.has_room(ref):
+                raise CorruptStoreError(f"doc {d.doc_id!r} refers to unknown room {ref!r}")
+
+
+def load(directory: str | Path) -> KnowledgeBase:
+    """Read the source facts and derive the adjacency matrix, the vectors and the door notes."""
     root = Path(directory)
     manifest_path = root / _MANIFEST
     if not manifest_path.exists():
@@ -535,20 +538,23 @@ def load(directory: str | Path, embedder: HashEmbedder | None = None) -> Knowled
         )
 
     try:
-        graph = graph_from_payload(read("graph.json"))
+        graph_payload = read("graph.json")
+        if "adjacency_matrix" in graph_payload:
+            raise CorruptStoreError("graph.json must not store an adjacency_matrix; "
+                                    "it is derived from the edges")
+        graph = graph_from_payload(graph_payload)
         docs = tuple(
             SemanticDoc(doc_id=d["doc_id"], kind=d["kind"], body=d["body"],
                         source_refs=tuple(d.get("source_refs", [])))
             for d in read("docs.json")
         )
-        vectors = read("vectors.json")
-        index = VectorIndex(
-            dimension=int(vectors["dimension"]),
-            entries=tuple(
-                (row["doc_id"], np.array(row["vector"], dtype=float))
-                for row in vectors["rows"]
-            ),
-        )
+        _check_docs(graph, docs)
+        dimension = read("vectors.json")["dimension"]
+        if type(dimension) is not int or not 0 < dimension <= MAX_DIMENSION:
+            raise CorruptStoreError(
+                f"vectors.json: dimension must be an integer in 1..{MAX_DIMENSION}, "
+                f"got {dimension!r}")
+        embedder = HashEmbedder(dimension)
         visual_payload = read("visual.json")
         dets = DetectionSet(
             image_ref=visual_payload.get("image_ref", ""),
@@ -563,24 +569,13 @@ def load(directory: str | Path, embedder: HashEmbedder | None = None) -> Knowled
                 for name, pos in visual_payload.get("labels", [])
             ),
         )
-        visual = VisualContext(
-            image_ref=visual_payload.get("image_ref", ""),
-            detections=dets,
-            element_notes=tuple(
-                (door_id, note) for door_id, note in visual_payload.get("element_notes", [])
-            ),
-        )
         return KnowledgeBase(
             building_id=str(manifest.get("building_id", "")),
             graph=graph,
             docs=docs,
-            index=index,
-            visual=visual,
-            embedder=embedder or HashEmbedder(index.dimension),
+            index=build_index(list(docs), embedder),
+            visual=build_visual_context(graph, dets),
+            embedder=embedder,
         )
-    except (KeyError, TypeError, ValueError, KnowledgeBaseError) as exc:
-        if isinstance(exc, KnowledgeBaseError) and not isinstance(exc, CorruptStoreError):
-            raise CorruptStoreError(str(exc)) from exc
-        if isinstance(exc, CorruptStoreError):
-            raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptStoreError(f"malformed store content: {exc}") from exc

@@ -34,6 +34,10 @@ class UnknownMarkerError(RuntimeError):
     """A scanned marker id is not registered for the building."""
 
 
+class TruthManifestError(ValueError):
+    """A truth manifest is not an object or lacks a field; `TruthManifest.load` names the file."""
+
+
 @dataclass(frozen=True)
 class Checkpoint:
     marker_id: int
@@ -110,16 +114,21 @@ class TruthManifest:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TruthManifest":
-        return cls(
-            graph=graph_from_payload(payload["graph"]),
-            checkpoints=tuple(
-                Checkpoint(marker_id=int(c["marker_id"]), node=str(c["node"]))
-                for c in payload.get("checkpoints", [])
-            ),
-            inaccessible=frozenset(payload.get("inaccessible", [])),
-            scale_cm_per_px=payload.get("scale_cm_per_px"),
-            building_id=str(payload.get("building_id", "")),
-        )
+        if not isinstance(payload, dict):
+            raise TruthManifestError("expected a JSON object")
+        try:
+            return cls(
+                graph=graph_from_payload(payload["graph"]),
+                checkpoints=tuple(
+                    Checkpoint(marker_id=int(c["marker_id"]), node=str(c["node"]))
+                    for c in payload.get("checkpoints", [])
+                ),
+                inaccessible=frozenset(payload.get("inaccessible", [])),
+                scale_cm_per_px=payload.get("scale_cm_per_px"),
+                building_id=str(payload.get("building_id", "")),
+            )
+        except KeyError as exc:
+            raise TruthManifestError(f"missing field {exc.args[0]!r}") from None
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -129,7 +138,10 @@ class TruthManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "TruthManifest":
-        return cls.from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
+        except TruthManifestError as exc:
+            raise TruthManifestError(f"{path}: {exc}") from None
 
 
 def confirm_checkpoint(

@@ -465,9 +465,10 @@ ERROR_PATHS = {
         "error: [Errno 2] No such file or directory: '{no_truth}'\n"),
     "walk-malformed-truth": (
         ["walk", "--kb", "{kb}", "--truth", "{bad_truth}", "A", "B"], EXIT_IO,
-        "error: 'graph'\n"),
-    "walk-unknown-room-never-suggests": (
-        WALK + ["Rom 01", "Room 03"], EXIT_USAGE, "error: unknown room 'Rom 01'\n"),
+        "error: {bad_truth}: missing field 'graph'\n"),
+    "walk-unknown-room-suggested": (
+        WALK + ["Rom 01", "Room 03"], EXIT_USAGE,
+        "error: unknown room 'Rom 01'; did you mean 'Room 01'?\n"),
     "walk-gateway-failure": (
         WALK + MOCK + ["{empty_fixtures}", "Room 01", "Room 03"], EXIT_GATEWAY,
         "error: gateway failure: no mock response for template 'planner'\n"),
@@ -513,3 +514,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: floornav {command[0]} ")
         assert err.endswith(f"argument --step-size: {step_size!r} is not a positive number\n")
+
+    @pytest.mark.parametrize("step_size", ["inf", "1e-300", "0.99"])
+    @pytest.mark.parametrize("command", [
+        ["navigate", "--kb", "{kb}", "Room 01", "Room 03"],
+        WALK + ["Room 01", "Room 03"],
+        EVAL + ["--suite", "{suite}"],
+    ], ids=["navigate", "walk", "eval"])
+    def test_infinite_or_sub_centimetre_step_size_is_usage_error(self, command, step_size,
+                                                                 error_env, capsys):
+        argv = [arg.format(**error_env) for arg in command]
+        assert main(argv + ["--step-size", step_size]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: floornav {command[0]} ")
+        assert err.endswith(
+            f"argument --step-size: {step_size!r} is not a finite step of at least 1 cm\n")
+
+    def test_one_centimetre_step_size_is_accepted(self, error_env, capsys):
+        assert main(["navigate", "--kb", error_env["kb"], "Room 01", "Room 02",
+                     "--step-size", "1"]) == EXIT_OK

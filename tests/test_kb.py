@@ -1,16 +1,24 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import buildings
 import oracles
+from generators import random_connected_graph, random_detection_set, random_raw_parse
+from floornav.extraction import build_graph
 from floornav.graph import FloorGraph, GraphEdge, RoomNode, rebuild_adjacency
 from floornav.ingest import DetectionSet
 from floornav.kb import (
     CorruptStoreError,
     HashEmbedder,
     KnowledgeBase,
+    KnowledgeBaseError,
     MissingStoreError,
     SemanticDoc,
     StoreVersionError,
@@ -73,6 +81,20 @@ class TestSemanticDocs:
         names = set(golden_graph.names())
         for doc in build_semantic_docs(golden_graph, golden_dets):
             assert set(doc.source_refs) <= names
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_room_card_lists_every_door_of_the_room(self, seed):
+        g, dets, _ = buildings.synthetic_building(9 + 7 * seed, seed=seed)
+        for doc in build_semantic_docs(g, dets):
+            if doc.kind != "room":
+                continue
+            room = doc.source_refs[0]
+            doors = sorted((e for e in g.edges if e.is_door and room in e.endpoints()),
+                           key=lambda e: int(e.via.rsplit("D", 1)[1]))
+            want = [f"Doors ({len(doors)}): " + "; ".join(
+                f"{e.via} to {e.to_room if e.from_room == room else e.from_room}" for e in doors
+            )] if doors else []
+            assert [line for line in doc.body.splitlines() if line.startswith("Doors (")] == want
 
     def test_double_door_pair_gets_distinct_doc_ids(self):
         nodes = [RoomNode(name="A", centroid=(0.0, 0.0)),
@@ -267,6 +289,110 @@ class TestPersistence:
                                                 loaded.index.entries):
             assert a_id == b_id
             assert np.array_equal(a_vec, b_vec)
+
+    def test_store_holds_only_source_facts(self, golden_kb, tmp_path):
+        persist(golden_kb, tmp_path / "kb")
+        store = {p.name: json.loads(p.read_text()) for p in (tmp_path / "kb").iterdir()}
+        assert "adjacency_matrix" not in store["graph.json"]
+        assert store["vectors.json"] == {"dimension": golden_kb.index.dimension}
+        assert "element_notes" not in store["visual.json"]
+        assert "dimension" not in store["manifest.json"]
+        loaded = load(tmp_path / "kb")
+        assert np.array_equal(loaded.graph.adjacency, golden_kb.graph.adjacency)
+        assert loaded.visual.element_notes == golden_kb.visual.element_notes
+
+    def test_persist_refuses_matrix_not_derived_from_edges(self, golden_graph, golden_dets,
+                                                           tmp_path):
+        adjacency = golden_graph.adjacency.copy()
+        adjacency[0, -1] = adjacency[-1, 0] = 1 - adjacency[0, -1]
+        g = FloorGraph(nodes=golden_graph.nodes, edges=golden_graph.edges,
+                       adjacency=adjacency)
+        with pytest.raises(KnowledgeBaseError, match="disagrees with its edges"):
+            persist(build_knowledge_base(g, golden_dets, "golden"), tmp_path / "kb")
+        assert not (tmp_path / "kb").exists()
+
+
+def _store_bytes(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_property_persist_load_persist_is_byte_identical(rng):
+    raw = random_raw_parse(rng)
+    dets = random_detection_set(rng, raw)
+    graph = build_graph(raw, dets) if rng.random() < 0.5 else random_connected_graph(rng)
+    built = build_knowledge_base(graph, dets, f"b{rng.randrange(100)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        persist(built, first)
+        loaded = load(first)
+        persist(loaded, second)
+        assert loaded == built
+        assert _store_bytes(first) == _store_bytes(second)
+
+
+def _edit(path: Path, change) -> None:
+    payload = json.loads(path.read_text())
+    change(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _add_matrix(store: Path, rng: random.Random) -> None:
+    def change(graph):
+        n = len(graph["nodes_elements"])
+        matrix = [[0] * n for _ in range(n)]
+        i, j = rng.sample(range(n), 2)
+        matrix[i][j] = matrix[j][i] = 1
+        graph["adjacency_matrix"] = matrix
+    _edit(store / "graph.json", change)
+
+
+def _edge_to_unknown_room(store: Path, rng: random.Random) -> None:
+    _edit(store / "graph.json",
+          lambda graph: rng.choice(graph["edges"]).update(to="Attic"))
+
+
+def _doc_ref_to_unknown_room(store: Path, rng: random.Random) -> None:
+    _edit(store / "docs.json",
+          lambda docs: rng.choice(docs)["source_refs"].append("Attic"))
+
+
+def _drop_door_card(store: Path, rng: random.Random) -> None:
+    def change(docs):
+        docs.remove(rng.choice([d for d in docs if d["kind"] == "door"]))
+    _edit(store / "docs.json", change)
+
+
+def _huge_dimension(store: Path, rng: random.Random) -> None:
+    _edit(store / "vectors.json", lambda vectors: vectors.update(dimension=10 ** rng.randint(6, 12)))
+
+
+def _v1_manifest(store: Path, rng: random.Random) -> None:
+    _edit(store / "manifest.json",
+          lambda manifest: manifest.update(schema_version=1, dimension=256))
+
+
+TAMPERS = {
+    "adjacency-matrix": (_add_matrix, CorruptStoreError, "adjacency_matrix"),
+    "edge-to-unknown-room": (_edge_to_unknown_room, CorruptStoreError, "unknown room 'Attic'"),
+    "doc-ref-to-unknown-room": (_doc_ref_to_unknown_room, CorruptStoreError,
+                                "unknown room 'Attic'"),
+    "missing-door-card": (_drop_door_card, CorruptStoreError, "cards, the graph needs"),
+    "huge-dimension": (_huge_dimension, CorruptStoreError, "dimension must be an integer"),
+    "v1-manifest": (_v1_manifest, StoreVersionError, "store has 1, expected 2"),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", list(TAMPERS))
+def test_tampered_store_raises_typed_error(case, seed, tmp_path):
+    tamper, error, message = TAMPERS[case]
+    graph, dets, _ = buildings.synthetic_building(9, seed=seed)
+    persist(build_knowledge_base(graph, dets, f"b{seed}"), tmp_path / "kb")
+    tamper(tmp_path / "kb", random.Random(seed))
+    with pytest.raises(error, match=message):
+        load(tmp_path / "kb")
 
 
 class TestBijectionInvariant:

@@ -22,6 +22,7 @@ from floornav.walkthrough import (
     RouteSpec,
     TrialResult,
     TruthManifest,
+    TruthManifestError,
     UnknownMarkerError,
     aggregate_trials,
     classify_route,
@@ -74,6 +75,29 @@ class TestConfirmCheckpoint:
             TruthManifest(graph=truth.graph,
                           checkpoints=(Checkpoint(1, "Room 01"),
                                        Checkpoint(1, "Room 02")))
+
+
+class TestTruthManifestFile:
+    @pytest.mark.parametrize("drop, field", [
+        (lambda p: p.pop("graph"), "graph"),
+        (lambda p: p["checkpoints"][0].pop("node"), "node"),
+        (lambda p: p["graph"]["edges"][0].pop("to"), "to"),
+    ], ids=["graph", "checkpoint-node", "edge-to"])
+    def test_missing_field_names_file_and_field(self, nine_room, tmp_path, drop, field):
+        _, truth = nine_room
+        payload = truth.to_payload()
+        drop(payload)
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TruthManifestError) as info:
+            TruthManifest.load(path)
+        assert str(info.value) == f"{path}: missing field {field!r}"
+
+    def test_non_object_is_rejected(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_text("[]")
+        with pytest.raises(TruthManifestError, match="expected a JSON object"):
+            TruthManifest.load(path)
 
 
 class TestSimulateWalk:
