@@ -15,8 +15,6 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .gateway import GatewayError, LlmGateway, PayloadError, extract_structured_payload
 from .graph import (
     DOOR_ID_RE,
@@ -27,9 +25,9 @@ from .graph import (
     connected_components,
     graph_to_payload,
     infer_kind,
+    matrix_violations,
     name_key,
     parse_size,
-    rebuild_adjacency,
 )
 from .ingest import DetectionSet, detection_summary
 
@@ -40,11 +38,8 @@ R_C_DEFAULT = 2  # corrective re-parses after the initial attempt
 CHECK_CONNECTIVITY = "connectivity"
 CHECK_DOOR_EDGES = "door_edge_consistency"
 CHECK_SPATIAL = "spatial_coherence"
-CHECK_SYMMETRY = "symmetry"
 CHECK_ISOLATED = "isolated_nodes"
-STRUCTURAL_CHECKS = (
-    CHECK_CONNECTIVITY, CHECK_DOOR_EDGES, CHECK_SPATIAL, CHECK_SYMMETRY, CHECK_ISOLATED,
-)
+STRUCTURAL_CHECKS = (CHECK_CONNECTIVITY, CHECK_DOOR_EDGES, CHECK_SPATIAL, CHECK_ISOLATED)
 
 _SYNTHETIC_GRID_STEP = 100.0
 
@@ -141,27 +136,7 @@ class RawParse:
         if len(set(keys)) != len(keys):
             problems.append("duplicate room names; number distinct areas sharing a label")
 
-        if len(self.adjacency_matrix) != n or any(
-            len(row) != n for row in self.adjacency_matrix
-        ):
-            problems.append(
-                f"len(nodes)==len(matrix)==len(row) violated: {n} nodes, "
-                f"{len(self.adjacency_matrix)} rows"
-            )
-        else:
-            m = self.adjacency_matrix
-            for i in range(n):
-                for j in range(n):
-                    if m[i][j] not in (0, 1):
-                        problems.append(f"matrix values must be in {{0,1}}, found {m[i][j]!r}")
-                        break
-                else:
-                    continue
-                break
-            if any(m[i][i] != 0 for i in range(n)):
-                problems.append("matrix diagonal must be 0")
-            if any(m[i][j] != m[j][i] for i in range(n) for j in range(i + 1, n)):
-                problems.append("matrix[i][j]==matrix[j][i] violated (matrix must be symmetric)")
+        problems.extend(message for _, message in matrix_violations(n, self.adjacency_matrix))
 
         known = set(keys)
         linked: set[str] = set()
@@ -261,7 +236,7 @@ def build_graph(raw: RawParse, dets: DetectionSet) -> FloorGraph:
 
     Each detected door links the two rooms nearest its bbox center (ties break
     toward the lower node index); parser edges with no matching detection are
-    preserved as passage edges; the adjacency matrix is rebuilt from the final
+    preserved as passage edges; the adjacency matrix is derived from the final
     edge list.
     """
     label_pos = dets.label_positions()
@@ -334,8 +309,7 @@ def build_graph(raw: RawParse, dets: DetectionSet) -> FloorGraph:
     ]
 
     edges = tuple(door_edges) + tuple(passage_edges)
-    return FloorGraph(nodes=tuple(nodes), edges=edges,
-                      adjacency=rebuild_adjacency(nodes, edges))
+    return FloorGraph(nodes=tuple(nodes), edges=edges)
 
 
 def critic_check(
@@ -343,7 +317,7 @@ def critic_check(
     dets: DetectionSet,
     gateway: LlmGateway | None = None,
 ) -> CriticReport:
-    """Agent 3: five deterministic structural checks, plus optional LLM review.
+    """Agent 3: four deterministic structural checks, plus optional LLM review.
 
     LLM findings are advisory; only the structural checks decide `passed`.
     """
@@ -358,12 +332,6 @@ def critic_check(
         listing = "; ".join(str(sorted(c)) for c in components)
         issues.append(f"graph has {len(components)} disconnected components: {listing}")
         fixes.append("add the door or passage edges that join the separated components")
-
-    adj = g.adjacency
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or not np.array_equal(adj, adj.T):
-        failed.add(CHECK_SYMMETRY)
-        issues.append("adjacency matrix is not symmetric")
-        fixes.append("rebuild the adjacency matrix from the edge list")
 
     for node in g.nodes:
         if not any(name_key(node.name) in e.pair_key() for e in g.edges):

@@ -1,9 +1,9 @@
 """Spatial knowledge graph: room nodes, door/passage edges, boolean adjacency.
 
-The graph couples three views that must agree: an ordered node list, an edge
-list, and a symmetric {0,1} adjacency matrix with zero diagonal. Validation
-reports disagreements instead of raising so a caller can feed the findings
-back to whatever produced the graph.
+The edge list is the graph. The symmetric {0,1} adjacency matrix with zero
+diagonal is derived from it; a matrix that enters from outside, such as a
+parser reply or a graph document, is checked against the matrix rules and,
+when it reaches a FloorGraph, against the derived matrix.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,7 +117,6 @@ class GraphEdge:
     to_room: str
     via: str = PASSAGE
     door_bbox: tuple[float, float, float, float] | None = None
-    traversal_cost: float = 1.0  # stored, never consumed by hop-count planning
 
     def __post_init__(self) -> None:
         if name_key(self.from_room) == name_key(self.to_room):
@@ -131,8 +130,6 @@ class GraphEdge:
             if not (x1 < x2 and y1 < y2):
                 raise GraphError(f"degenerate door bbox {list(self.door_bbox)}")
             object.__setattr__(self, "door_bbox", tuple(float(v) for v in self.door_bbox))
-        if self.traversal_cost < 0:
-            raise GraphError("traversal_cost must be non-negative")
 
     @property
     def is_door(self) -> bool:
@@ -161,13 +158,17 @@ class ValidationReport:
         return {v.rule for v in self.violations}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FloorGraph:
-    """Immutable (nodes, edges, adjacency) triple. Use validate_graph to audit it."""
+    """Immutable nodes and edges; the adjacency matrix is derived from the edges.
+
+    A given `adjacency` must equal the derived matrix, or GraphError names the
+    first failing rule. Graphs compare by nodes and edges.
+    """
 
     nodes: tuple[RoomNode, ...]
     edges: tuple[GraphEdge, ...]
-    adjacency: np.ndarray
+    adjacency: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -175,26 +176,14 @@ class FloorGraph:
         keys = [name_key(n.name) for n in self.nodes]
         if len(set(keys)) != len(keys):
             raise GraphError("duplicate room names in graph")
-        try:
-            adj = np.array(self.adjacency)
-        except ValueError as exc:
-            raise GraphError(f"adjacency rows have unequal lengths: {exc}") from exc
-        if adj.dtype == object:
-            raise GraphError("adjacency rows have unequal lengths")
-        if adj.size == 0:
-            adj = adj.reshape(0, 0)
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
+        derived = rebuild_adjacency(self.nodes, self.edges)
+        if self.adjacency is not None:
+            problem = _first_matrix_problem(self.nodes, self.adjacency, derived)
+            if problem:
+                raise GraphError(f"{problem[0]}: {problem[1]}")
+        derived.setflags(write=False)
+        object.__setattr__(self, "adjacency", derived)
         object.__setattr__(self, "_index", {k: i for i, k in enumerate(keys)})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FloorGraph):
-            return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.edges == other.edges
-            and np.array_equal(self.adjacency, other.adjacency)
-        )
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -249,69 +238,63 @@ def rebuild_adjacency(nodes: list[RoomNode] | tuple[RoomNode, ...],
     return adj
 
 
+def matrix_violations(n: int, matrix) -> list[tuple[str, str]]:
+    """The matrix rules for n rooms, as (rule id, message) pairs in rule order.
+
+    Empty when `matrix` is an n x n list of {0,1} rows, symmetric with a zero
+    diagonal. Never raises on bad content: the messages are fed back to the
+    parser that wrote the matrix.
+    """
+    rows = matrix if isinstance(matrix, (list, tuple)) else ()
+    if len(rows) != n or any(not isinstance(row, (list, tuple)) or len(row) != n
+                             for row in rows):
+        return [(RULE_LENGTH, f"len(nodes)==len(matrix)==len(row) violated: {n} nodes, "
+                              f"{len(rows)} rows")]
+    found = []
+    bad = [v for row in rows for v in row if v not in (0, 1)]
+    if bad:
+        found.append((RULE_VALUES, f"matrix values must be in {{0,1}}, found {bad[0]!r}"))
+    if any(rows[i][i] != 0 for i in range(n)):
+        found.append((RULE_VALUES, "matrix diagonal must be 0"))
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i + 1, n)):
+        found.append((RULE_SYMMETRY,
+                      "matrix[i][j]==matrix[j][i] violated (matrix must be symmetric)"))
+    return found
+
+
+def _first_matrix_problem(nodes, given, derived: np.ndarray) -> tuple[str, str] | None:
+    """The first matrix rule a matrix given to FloorGraph breaks, else its first cell off
+    `derived` as an edge_matrix_agreement finding; None when it equals `derived`."""
+    if isinstance(given, np.ndarray):
+        if np.array_equal(given, derived):
+            return None
+        given = given.tolist()
+    found = matrix_violations(len(nodes), given)
+    if found:
+        return found[0]
+    expected = derived.tolist()
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            if given[i][j] != expected[i][j]:
+                a, b = nodes[i].name, nodes[j].name
+                if expected[i][j]:
+                    return RULE_AGREEMENT, f"edge {a!r}-{b!r} exists but matrix[{i}][{j}] == 0"
+                return RULE_AGREEMENT, f"matrix[{i}][{j}] == 1 but no edge links {a!r} and {b!r}"
+    return None
+
+
 def validate_graph(g: FloorGraph) -> ValidationReport:
-    """Audit a graph against the structural rules; never raises on bad content."""
-    violations: list[Violation] = []
-    n = len(g.nodes)
-    adj = g.adjacency
-
-    square = adj.ndim == 2 and adj.shape[0] == adj.shape[1]
-    if not square or adj.shape[0] != n:
-        violations.append(Violation(
-            RULE_LENGTH,
-            f"adjacency shape {tuple(adj.shape)} does not match {n} nodes",
-            "adjacency_matrix",
-        ))
-
-    if square and not np.array_equal(adj, adj.T):
-        bad = np.argwhere(adj != adj.T)
-        i, j = (int(v) for v in bad[0])
-        violations.append(Violation(
-            RULE_SYMMETRY,
-            f"matrix[{i}][{j}] != matrix[{j}][{i}] (matrix must be symmetric)",
-            f"({i},{j})",
-        ))
-
-    values = set(np.unique(adj)) if adj.size else set()
-    if not values <= {0, 1}:
-        violations.append(Violation(
-            RULE_VALUES,
-            f"matrix values must be in {{0,1}}, found {sorted(values - {0, 1})}",
-            "adjacency_matrix",
-        ))
-    if square and adj.size and np.any(np.diagonal(adj) != 0):
-        i = int(np.flatnonzero(np.diagonal(adj))[0])
-        violations.append(Violation(
-            RULE_VALUES, f"diagonal must be zero, matrix[{i}][{i}] != 0", f"({i},{i})"
-        ))
-
-    in_edges = {k for e in g.edges for k in (name_key(e.from_room), name_key(e.to_room))}
-    for node in g.nodes:
-        if name_key(node.name) not in in_edges:
-            violations.append(Violation(
-                RULE_MIN_DEGREE,
-                f"room {node.name!r} appears in no edge (EVERY NODE MUST HAVE >= 1 EDGE)",
-                node.name,
-            ))
-
-    if square and adj.shape[0] == n:
-        try:
-            expected = rebuild_adjacency(g.nodes, g.edges)
-        except UnknownRoomError as exc:
-            violations.append(Violation(RULE_AGREEMENT, str(exc), "edges"))
-        else:
-            if not np.array_equal(expected, adj):
-                for i, j in (tuple(int(v) for v in ij) for ij in np.argwhere(expected != adj)):
-                    if i > j:
-                        continue
-                    a, b = g.nodes[i].name, g.nodes[j].name
-                    if expected[i, j]:
-                        msg = f"edge {a!r}-{b!r} exists but matrix[{i}][{j}] == 0"
-                    else:
-                        msg = f"matrix[{i}][{j}] == 1 but no edge links {a!r} and {b!r}"
-                    violations.append(Violation(RULE_AGREEMENT, msg, f"({i},{j})"))
-
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+    """Audit a graph against the rules its edges can break: every room needs an edge."""
+    in_edges = {k for e in g.edges for k in e.pair_key()}
+    violations = tuple(
+        Violation(
+            RULE_MIN_DEGREE,
+            f"room {node.name!r} appears in no edge (EVERY NODE MUST HAVE >= 1 EDGE)",
+            node.name,
+        )
+        for node in g.nodes if name_key(node.name) not in in_edges
+    )
+    return ValidationReport(passed=not violations, violations=violations)
 
 
 def bfs_shortest_path(g: FloorGraph, start: str, destination: str) -> list[str] | None:
@@ -379,8 +362,8 @@ def graph_to_payload(g: FloorGraph, approach: str = "") -> dict:
             (e.via for e in g.edges if e.is_door and name_key(node.name) in e.pair_key()),
             key=lambda d: int(d.rsplit("D", 1)[1]),
         )
-        connected = g.neighbors(node.name) if len(g.adjacency) == len(g.nodes) else []
-        info: dict = {"name": node.name, "doors": doors, "connected_rooms": connected}
+        info: dict = {"name": node.name, "doors": doors,
+                      "connected_rooms": g.neighbors(node.name)}
         size = format_size(node.size_m2, node.dimensions)
         if size:
             info["size"] = size
@@ -391,41 +374,51 @@ def graph_to_payload(g: FloorGraph, approach: str = "") -> dict:
         entry = {"from": e.from_room, "to": e.to_room, "via": e.via}
         if e.door_bbox is not None:
             entry["door_bbox"] = list(e.door_bbox)
-        if e.traversal_cost != 1.0:
-            entry["traversal_cost"] = e.traversal_cost
         edges.append(entry)
 
     return {
         "approach": approach,
         "nodes_elements": nodes_elements,
-        "adjacency_matrix": [[int(v) for v in row] for row in np.atleast_2d(g.adjacency)]
-        if g.adjacency.size else [],
+        "adjacency_matrix": g.adjacency.tolist(),
         "edges": edges,
         "rooms_info": rooms_info,
     }
 
 
+def _records(payload: dict, key: str) -> list:
+    records = payload.get(key) or []
+    if not isinstance(records, list):
+        raise GraphError(f"{key} must be an array")
+    return records
+
+
 def graph_from_payload(payload: dict) -> FloorGraph:
-    """Rebuild a FloorGraph from a parser-schema document."""
+    """Rebuild a FloorGraph from a parser-schema document.
+
+    `adjacency_matrix` is optional; when present it must be the matrix the
+    edges give (see FloorGraph).
+    """
     if not isinstance(payload, dict):
         raise GraphError("graph document must be a JSON object")
     info_by_key: dict[str, dict] = {}
-    for info in payload.get("rooms_info", []) or []:
+    for info in _records(payload, "rooms_info"):
         if isinstance(info, dict) and info.get("name"):
             info_by_key[name_key(str(info["name"]))] = info
 
     nodes = []
-    for raw in payload.get("nodes_elements", []) or []:
+    for raw in _records(payload, "nodes_elements"):
         if isinstance(raw, str):
             raw = {"name": raw}
+        if not isinstance(raw, dict):
+            raise GraphError(f"node record must be a name or an object, got {raw!r}")
         name = str(raw.get("name", ""))
         info = info_by_key.get(name_key(name), {})
         size_m2, dims = parse_size(info.get("size"))
-        centroid = raw.get("centroid") or (0.0, 0.0)
+        x, y = raw.get("centroid") or (0.0, 0.0)
         nodes.append(RoomNode(
             name=name,
             kind=raw.get("kind") or infer_kind(name),
-            centroid=(float(centroid[0]), float(centroid[1])),
+            centroid=(float(x), float(y)),
             dimensions=dims,
             size_m2=size_m2,
             ocr_confidence=raw.get("ocr_confidence"),
@@ -433,17 +426,16 @@ def graph_from_payload(payload: dict) -> FloorGraph:
         ))
 
     edges = []
-    for raw in payload.get("edges", []) or []:
+    for raw in _records(payload, "edges"):
+        if not isinstance(raw, dict):
+            raise GraphError(f"edge record must be an object, got {raw!r}")
         bbox = raw.get("door_bbox")
         edges.append(GraphEdge(
             from_room=str(raw["from"]),
             to_room=str(raw["to"]),
             via=str(raw.get("via", PASSAGE)),
             door_bbox=tuple(float(v) for v in bbox) if bbox else None,
-            traversal_cost=float(raw.get("traversal_cost", 1.0)),
         ))
 
-    matrix = payload.get("adjacency_matrix")
-    adjacency = np.array(matrix, dtype=int) if matrix else rebuild_adjacency(nodes, edges)
-    return FloorGraph(nodes=tuple(nodes), edges=tuple(edges), adjacency=adjacency)
-
+    return FloorGraph(nodes=tuple(nodes), edges=tuple(edges),
+                      adjacency=payload.get("adjacency_matrix"))

@@ -27,7 +27,6 @@ from .graph import (
     graph_from_payload,
     graph_to_payload,
     name_key,
-    rebuild_adjacency,
 )
 from .ingest import Detection, DetectionSet
 from .ingest import detection_summary as summarize_detections
@@ -260,14 +259,13 @@ def build_semantic_docs(
         if windows:
             lines.append(f"Windows ({len(windows)}): " + "; ".join(windows))
 
-        if len(g.adjacency) == len(g.nodes):
-            neighbours = g.neighbors(node.name)
-            if neighbours:
-                entries = "; ".join(
-                    f"{other} to {_CARDINAL_WORD[cardinal_between(node.centroid, g.node(other).centroid)]}"
-                    for other in neighbours
-                )
-                lines.append(f"Connected rooms: {entries}")
+        neighbours = g.neighbors(node.name)
+        if neighbours:
+            entries = "; ".join(
+                f"{other} to {_CARDINAL_WORD[cardinal_between(node.centroid, g.node(other).centroid)]}"
+                for other in neighbours
+            )
+            lines.append(f"Connected rooms: {entries}")
 
         note = annotations.get(node.name) or annotations.get(name_key(node.name))
         if note:
@@ -470,9 +468,6 @@ def _write_atomic(path: Path, payload) -> None:
 
 def persist(kb: KnowledgeBase, directory: str | Path) -> None:
     """Write the store's source facts; repeated persists of the same KB are byte-identical."""
-    if not np.array_equal(kb.graph.adjacency, rebuild_adjacency(kb.graph.nodes, kb.graph.edges)):
-        raise KnowledgeBaseError("graph adjacency disagrees with its edges; "
-                                 "the store keeps only the edges")
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     _write_atomic(root / _MANIFEST, {

@@ -17,8 +17,8 @@ from itertools import count
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .graph import FloorGraph, UnknownRoomError, bfs_shortest_path, graph_from_payload, \
-    graph_to_payload, name_key
+from .graph import FloorGraph, GraphError, UnknownRoomError, bfs_shortest_path, \
+    graph_from_payload, graph_to_payload, name_key
 from .kb import KnowledgeBase
 from .navigation import LlmGateway, NavPlan, NavigationError, navigate
 
@@ -35,7 +35,7 @@ class UnknownMarkerError(RuntimeError):
 
 
 class TruthManifestError(ValueError):
-    """A truth manifest is not an object or lacks a field; `TruthManifest.load` names the file."""
+    """A truth manifest is malformed or its graph inconsistent; `TruthManifest.load` names the file."""
 
 
 @dataclass(frozen=True)
@@ -116,19 +116,29 @@ class TruthManifest:
     def from_payload(cls, payload: dict) -> "TruthManifest":
         if not isinstance(payload, dict):
             raise TruthManifestError("expected a JSON object")
+        checkpoints = payload.get("checkpoints", [])
+        if not isinstance(checkpoints, list) or not all(isinstance(c, dict) for c in checkpoints):
+            raise TruthManifestError("checkpoints must be an array of objects")
+        inaccessible = payload.get("inaccessible", [])
+        if not isinstance(inaccessible, list) or not all(isinstance(r, str) for r in inaccessible):
+            raise TruthManifestError("inaccessible must be an array of room names")
         try:
             return cls(
                 graph=graph_from_payload(payload["graph"]),
                 checkpoints=tuple(
                     Checkpoint(marker_id=int(c["marker_id"]), node=str(c["node"]))
-                    for c in payload.get("checkpoints", [])
+                    for c in checkpoints
                 ),
-                inaccessible=frozenset(payload.get("inaccessible", [])),
+                inaccessible=frozenset(inaccessible),
                 scale_cm_per_px=payload.get("scale_cm_per_px"),
                 building_id=str(payload.get("building_id", "")),
             )
         except KeyError as exc:
             raise TruthManifestError(f"missing field {exc.args[0]!r}") from None
+        except GraphError as exc:
+            raise TruthManifestError(f"graph: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise TruthManifestError(str(exc)) from None
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -416,15 +426,24 @@ def load_routes(path: str | Path) -> list[RouteSpec]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, list):
         raise ValueError(f"{path}: expected a JSON array of routes")
-    return [
-        RouteSpec(
+    routes = []
+    for i, r in enumerate(payload):
+        problem = None
+        if not isinstance(r, dict):
+            problem = "expected a JSON object"
+        elif "start" not in r or "destination" not in r:
+            problem = f"missing field {'start' if 'start' not in r else 'destination'!r}"
+        elif r.get("class") not in (None, *ROUTE_CLASSES):
+            problem = f"unknown route class {r['class']!r}"
+        if problem:
+            raise ValueError(f"{path}: route {i}: {problem}")
+        routes.append(RouteSpec(
             route_id=str(r.get("route_id", f"route-{i}")),
             start=str(r["start"]),
             destination=str(r["destination"]),
             route_class=r.get("class"),
-        )
-        for i, r in enumerate(payload)
-    ]
+        ))
+    return routes
 
 
 def aggregate_trials(trials: list[TrialResult] | tuple[TrialResult, ...]) -> EvalReport:

@@ -85,3 +85,20 @@ def random_connected_graph(rng: random.Random, max_nodes: int = 8):
     edges = [GraphEdge(from_room=a, to_room=b) for a, b in pairs]
     return FloorGraph(nodes=nodes, edges=edges,
                       adjacency=rebuild_adjacency(nodes, edges))
+
+
+def random_multigraph(rng: random.Random, max_nodes: int = 8):
+    """A random_connected_graph whose edge list also repeats pairs, in shuffled order:
+    one passage listed again reversed and in lower case, and two doors between one pair."""
+    from floornav.graph import FloorGraph, GraphEdge, rebuild_adjacency
+
+    g = random_connected_graph(rng, max_nodes)
+    a, b = rng.choice(g.edges).endpoints()
+    c, d = rng.choice(g.edges).endpoints()
+    doors = [GraphEdge(from_room=x, to_room=y, via=f"Door_D{k}",
+                       door_bbox=(10.0 * k, 10.0, 10.0 * k + 5.0, 15.0))
+             for k, (x, y) in enumerate(((c, d), (d, c)), start=1)]
+    edges = list(g.edges) + [GraphEdge(from_room=b.lower(), to_room=a)] + doors
+    rng.shuffle(edges)
+    return FloorGraph(nodes=g.nodes, edges=tuple(edges),
+                      adjacency=rebuild_adjacency(g.nodes, edges))

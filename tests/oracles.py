@@ -77,6 +77,28 @@ def components_by_matrix_power(adjacency) -> list[set[int]]:
     return components
 
 
+def _room_key(name: str) -> str:
+    return name.strip().lower()
+
+
+def edges_between_scan(edges, a: str, b: str) -> tuple:
+    """Every edge joining rooms a and b, in edge-list order, by a full scan."""
+    want = sorted((_room_key(a), _room_key(b)))
+    return tuple(e for e in edges
+                 if sorted((_room_key(e.from_room), _room_key(e.to_room))) == want)
+
+
+def neighbors_from_edges(nodes, edges, name: str) -> list[str]:
+    """Rooms sharing an edge with `name`, in ascending node-index order, from the edge list."""
+    me = _room_key(name)
+    linked = set()
+    for e in edges:
+        ends = {_room_key(e.from_room), _room_key(e.to_room)}
+        if me in ends:
+            linked |= ends - {me}
+    return [n.name for n in nodes if _room_key(n.name) in linked]
+
+
 def population_stats(values) -> tuple[float, float]:
     """(mean, population standard deviation) with plain arithmetic."""
     n = len(values)

@@ -18,7 +18,7 @@ from floornav.gateway import LlmGateway, MockProvider
 from floornav.graph import FloorGraph, GraphEdge, RoomNode, rebuild_adjacency
 from floornav.kb import build_knowledge_base, load as load_kb, persist
 from floornav.navigation import navigate
-from floornav.walkthrough import FaultModel, reroute_from, simulate_walk
+from floornav.walkthrough import FaultModel, TruthManifest, reroute_from, simulate_walk
 
 
 @pytest.fixture
@@ -381,7 +381,12 @@ def error_env(tmp_path, nine_room_env, golden_files):
         paths[name] = tmp_path / name
     for name, text in (("bad_dets", '{"class": "door"}'), ("bad_truth", "{}"),
                        ("suite", '[{"start": "Room 01", "destination": "Room 02"}]'),
-                       ("empty_suite", "[]"), ("object_suite", '{"routes": []}')):
+                       ("empty_suite", "[]"), ("object_suite", '{"routes": []}'),
+                       ("startless_suite", '[{"destination": "Room 02"}]'),
+                       ("scalar_suite", "[1]"),
+                       ("huge_suite", '[{"start": "Room 01", "destination": "Room 02", '
+                                      '"class": "huge"}]'),
+                       ("golden_suite", '[{"start": "Cellier", "destination": "Sejour"}]')):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
     garbage = MockProvider()
@@ -395,6 +400,15 @@ def error_env(tmp_path, nine_room_env, golden_files):
                            RoomNode(name="Isle2", centroid=(5100, 5000)))
     edges = graph.edges + (GraphEdge(from_room="Island", to_room="Isle2"),)
     island = FloorGraph(nodes=nodes, edges=edges, adjacency=rebuild_adjacency(nodes, edges))
+    # the golden apartment, and its truth file with one extra matrix bit: Cuisine-Sejour
+    golden = buildings.golden_graph()
+    paths["golden_kb"] = tmp_path / "golden-kb"
+    persist(build_knowledge_base(golden, buildings.golden_detections(), "golden"),
+            paths["golden_kb"])
+    truth = TruthManifest(graph=golden, building_id="golden").to_payload()
+    truth["graph"]["adjacency_matrix"][0][4] = truth["graph"]["adjacency_matrix"][4][0] = 1
+    paths["golden_bad_truth"] = tmp_path / "golden_bad_truth.json"
+    paths["golden_bad_truth"].write_text(json.dumps(truth))
     paths["island_kb"] = tmp_path / "island-kb"
     persist(build_knowledge_base(island, buildings.golden_detections(), "island"),
             paths["island_kb"])
@@ -466,6 +480,10 @@ ERROR_PATHS = {
     "walk-malformed-truth": (
         ["walk", "--kb", "{kb}", "--truth", "{bad_truth}", "A", "B"], EXIT_IO,
         "error: {bad_truth}: missing field 'graph'\n"),
+    "walk-inconsistent-truth-graph": (
+        ["walk", "--kb", "{golden_kb}", "--truth", "{golden_bad_truth}", "Cellier", "Sejour"],
+        EXIT_IO, "error: {golden_bad_truth}: graph: edge_matrix_agreement: matrix[0][4] == 1 "
+                 "but no edge links 'Cuisine' and 'Sejour'\n"),
     "walk-unknown-room-suggested": (
         WALK + ["Rom 01", "Room 03"], EXIT_USAGE,
         "error: unknown room 'Rom 01'; did you mean 'Room 01'?\n"),
@@ -487,6 +505,17 @@ ERROR_PATHS = {
                          "error: empty suite (SR undefined)\n"),
     "eval-non-array-suite": (EVAL + ["--suite", "{object_suite}"], EXIT_IO,
                              "error: {object_suite}: expected a JSON array of routes\n"),
+    "eval-inconsistent-truth-graph": (
+        ["eval", "--kb", "{golden_kb}", "--truth", "{golden_bad_truth}",
+         "--suite", "{golden_suite}"], EXIT_IO,
+        "error: {golden_bad_truth}: graph: edge_matrix_agreement: matrix[0][4] == 1 "
+        "but no edge links 'Cuisine' and 'Sejour'\n"),
+    "eval-route-without-start": (EVAL + ["--suite", "{startless_suite}"], EXIT_IO,
+                                 "error: {startless_suite}: route 0: missing field 'start'\n"),
+    "eval-non-object-route": (EVAL + ["--suite", "{scalar_suite}"], EXIT_IO,
+                              "error: {scalar_suite}: route 0: expected a JSON object\n"),
+    "eval-unknown-route-class": (EVAL + ["--suite", "{huge_suite}"], EXIT_IO,
+                                 "error: {huge_suite}: route 0: unknown route class 'huge'\n"),
     "eval-gateway-failure": (
         EVAL + ["--suite", "{suite}"] + MOCK + ["{empty_fixtures}"], EXIT_GATEWAY,
         "error: gateway failure: no mock response for template 'planner'\n"),

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from generators import random_connected_graph
+from generators import random_connected_graph, random_multigraph
 from floornav.graph import (
     RULE_AGREEMENT,
     RULE_LENGTH,
     RULE_MIN_DEGREE,
     RULE_SYMMETRY,
+    RULE_VALUES,
     FloorGraph,
     GraphEdge,
     GraphError,
@@ -82,10 +83,8 @@ class TestValidateGraph:
     def test_asymmetric_matrix_flagged(self):
         nodes = [room("A"), room("B", 10)]
         edges = [GraphEdge(from_room="A", to_room="B")]
-        g = FloorGraph(nodes=nodes, edges=edges, adjacency=[[0, 1], [0, 0]])
-        report = validate_graph(g)
-        assert not report.passed
-        assert RULE_SYMMETRY in report.rules()
+        with pytest.raises(GraphError, match=f"^{RULE_SYMMETRY}: "):
+            FloorGraph(nodes=nodes, edges=edges, adjacency=[[0, 1], [0, 0]])
 
     def test_isolated_node_flagged_with_min_degree_rule(self):
         nodes = [room("A"), room("B", 10), room("C", 20)]
@@ -99,22 +98,20 @@ class TestValidateGraph:
         assert offender[0].offender == "C"
         assert "EVERY NODE MUST HAVE >= 1 EDGE" in offender[0].message
 
-    def test_non_square_matrix_is_a_report_not_an_exception(self):
+    def test_non_square_matrix_names_length_rule(self):
         nodes = [room("A"), room("B", 10)]
         edges = [GraphEdge(from_room="A", to_room="B")]
-        g = FloorGraph(nodes=nodes, edges=edges, adjacency=[[0, 1, 0], [1, 0, 0]])
-        report = validate_graph(g)
-        assert not report.passed
-        assert RULE_LENGTH in report.rules()
+        with pytest.raises(GraphError, match=f"^{RULE_LENGTH}: "):
+            FloorGraph(nodes=nodes, edges=edges, adjacency=[[0, 1, 0], [1, 0, 0]])
 
     def test_matrix_edge_disagreement_flagged(self):
         nodes = [room("A"), room("B", 10), room("C", 20)]
         edges = [GraphEdge(from_room="A", to_room="B"),
                  GraphEdge(from_room="B", to_room="C")]
         wrong = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]  # claims A-C which has no edge
-        g = FloorGraph(nodes=nodes, edges=edges, adjacency=wrong)
-        report = validate_graph(g)
-        assert RULE_AGREEMENT in report.rules()
+        with pytest.raises(GraphError, match=f"^{RULE_AGREEMENT}: matrix\\[0\\]\\[2\\] == 1 "
+                                             "but no edge links 'A' and 'C'$"):
+            FloorGraph(nodes=nodes, edges=edges, adjacency=wrong)
 
     def test_accepted_graphs_round_trip_through_rebuild(self):
         rng = random.Random(7)
@@ -260,6 +257,26 @@ class TestSerialization:
         }
         assert graph_from_payload(payload) == golden_graph
 
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda p: p["adjacency_matrix"][0].__setitem__(1, 2), GraphError,
+         r"^value_domain: matrix values must be in \{0,1\}, found 2$"),
+        (lambda p: p.update(adjacency_matrix=[[0] * 6] * 6), GraphError,
+         "^length_consistency: "),
+        (lambda p: p["edges"][0].update(to="Attic"), UnknownRoomError, "'Attic'"),
+        (lambda p: p["edges"].append(1), GraphError, "edge record must be an object"),
+        (lambda p: p["nodes_elements"].append(1), GraphError,
+         "node record must be a name or an object"),
+        (lambda p: p.update(edges={"from": "Cuisine"}), GraphError, "edges must be an array"),
+        (lambda p: p["nodes_elements"][0].update(centroid=[1]), ValueError,
+         "not enough values to unpack"),
+    ], ids=["value-2", "6x6-for-5-rooms", "edge-to-unknown-room", "non-object-edge",
+            "non-object-node", "non-array-edges", "one-number-centroid"])
+    def test_bad_document_raises_value_error(self, golden_graph, change, error, message):
+        payload = graph_to_payload(golden_graph)
+        change(payload)
+        with pytest.raises(error, match=message):
+            graph_from_payload(payload)
+
     def test_rooms_info_carries_size_strings(self, golden_graph):
         payload = graph_to_payload(golden_graph)
         info = {r["name"]: r for r in payload["rooms_info"]}
@@ -278,3 +295,52 @@ def test_property_rebuild_always_symmetric_zero_diagonal(names, rng):
     adj = rebuild_adjacency(nodes, edges)
     assert np.array_equal(adj, adj.T)
     assert not np.diagonal(adj).any()
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_property_queries_agree_with_edge_list_oracles(rng):
+    g = random_multigraph(rng)
+    for a in g.names():
+        neighbours = oracles.neighbors_from_edges(g.nodes, g.edges, a)
+        assert g.neighbors(a) == neighbours
+        assert g.degree(a) == len(neighbours)
+        for b in g.names():
+            expected = oracles.edges_between_scan(g.edges, a, b)
+            assert g.edges_between(a, b) == expected
+            assert g.edges_between(f" {b.lower()} ", a.upper()) == expected
+            assert g.adjacent(a, b) == bool(expected)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_property_payload_round_trip(rng):
+    g = random_multigraph(rng)
+    assert graph_from_payload(graph_to_payload(g)) == g
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_property_payload_matrix_must_be_the_derived_one(rng):
+    g = random_multigraph(rng)
+    n = len(g)
+    i, j = rng.sample(range(n), 2)
+
+    def payload_with(change):
+        payload = graph_to_payload(g)
+        change(payload["adjacency_matrix"])
+        return payload
+
+    def flip(*cells):
+        def change(matrix):
+            for r, c in cells:
+                matrix[r][c] = 1 - matrix[r][c]
+        return change
+
+    for change, rule in ((flip((i, j)), RULE_SYMMETRY),
+                         (flip((i, j), (j, i)), RULE_AGREEMENT),
+                         (flip((i, i)), RULE_VALUES),
+                         (lambda matrix: matrix.append([0] * n), RULE_LENGTH)):
+        with pytest.raises(GraphError, match=f"^{rule}: "):
+            graph_from_payload(payload_with(change))
+    assert graph_from_payload(payload_with(lambda matrix: None)) == g

@@ -12,13 +12,12 @@ import buildings
 import oracles
 from generators import random_connected_graph, random_detection_set, random_raw_parse
 from floornav.extraction import build_graph
-from floornav.graph import FloorGraph, GraphEdge, RoomNode, rebuild_adjacency
+from floornav.graph import FloorGraph, GraphEdge, GraphError, RoomNode, rebuild_adjacency
 from floornav.ingest import DetectionSet
 from floornav.kb import (
     CorruptStoreError,
     HashEmbedder,
     KnowledgeBase,
-    KnowledgeBaseError,
     MissingStoreError,
     SemanticDoc,
     StoreVersionError,
@@ -301,15 +300,13 @@ class TestPersistence:
         assert np.array_equal(loaded.graph.adjacency, golden_kb.graph.adjacency)
         assert loaded.visual.element_notes == golden_kb.visual.element_notes
 
-    def test_persist_refuses_matrix_not_derived_from_edges(self, golden_graph, golden_dets,
-                                                           tmp_path):
+    def test_persist_refuses_matrix_not_derived_from_edges(self, golden_graph):
+        # such a KB cannot be persisted because its graph cannot be built
         adjacency = golden_graph.adjacency.copy()
         adjacency[0, -1] = adjacency[-1, 0] = 1 - adjacency[0, -1]
-        g = FloorGraph(nodes=golden_graph.nodes, edges=golden_graph.edges,
+        with pytest.raises(GraphError, match="^edge_matrix_agreement: "):
+            FloorGraph(nodes=golden_graph.nodes, edges=golden_graph.edges,
                        adjacency=adjacency)
-        with pytest.raises(KnowledgeBaseError, match="disagrees with its edges"):
-            persist(build_knowledge_base(g, golden_dets, "golden"), tmp_path / "kb")
-        assert not (tmp_path / "kb").exists()
 
 
 def _store_bytes(directory: Path) -> dict[str, bytes]:
@@ -353,6 +350,11 @@ def _edge_to_unknown_room(store: Path, rng: random.Random) -> None:
           lambda graph: rng.choice(graph["edges"]).update(to="Attic"))
 
 
+def _non_object_edge(store: Path, rng: random.Random) -> None:
+    _edit(store / "graph.json",
+          lambda graph: graph["edges"].insert(rng.randrange(len(graph["edges"]) + 1), 1))
+
+
 def _doc_ref_to_unknown_room(store: Path, rng: random.Random) -> None:
     _edit(store / "docs.json",
           lambda docs: rng.choice(docs)["source_refs"].append("Attic"))
@@ -376,6 +378,7 @@ def _v1_manifest(store: Path, rng: random.Random) -> None:
 TAMPERS = {
     "adjacency-matrix": (_add_matrix, CorruptStoreError, "adjacency_matrix"),
     "edge-to-unknown-room": (_edge_to_unknown_room, CorruptStoreError, "unknown room 'Attic'"),
+    "non-object-edge": (_non_object_edge, CorruptStoreError, "edge record must be an object"),
     "doc-ref-to-unknown-room": (_doc_ref_to_unknown_room, CorruptStoreError,
                                 "unknown room 'Attic'"),
     "missing-door-card": (_drop_door_card, CorruptStoreError, "cards, the graph needs"),

@@ -93,6 +93,29 @@ class TestTruthManifestFile:
             TruthManifest.load(path)
         assert str(info.value) == f"{path}: missing field {field!r}"
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p["graph"]["edges"].append(1), "graph: edge record must be an object, got 1"),
+        (lambda p: p.update(checkpoints=[1]), "checkpoints must be an array of objects"),
+        (lambda p: p.update(inaccessible=5), "inaccessible must be an array of room names"),
+        (lambda p: p["checkpoints"][0].update(marker_id=None),
+         "int() argument must be a string, a bytes-like object or a real number, "
+         "not 'NoneType'"),
+        (lambda p: p["checkpoints"][1].update(marker_id=p["checkpoints"][0]["marker_id"]),
+         "marker ids must be unique per building"),
+        (lambda p: p["graph"]["adjacency_matrix"][0].__setitem__(-1, 1),
+         "graph: symmetry: matrix[i][j]==matrix[j][i] violated (matrix must be symmetric)"),
+    ], ids=["non-object-edge", "non-object-checkpoint", "non-array-inaccessible",
+            "null-marker-id", "duplicate-marker-id", "asymmetric-matrix"])
+    def test_malformed_field_names_file(self, nine_room, tmp_path, change, message):
+        _, truth = nine_room
+        payload = truth.to_payload()
+        change(payload)
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TruthManifestError) as info:
+            TruthManifest.load(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_non_object_is_rejected(self, tmp_path):
         path = tmp_path / "truth.json"
         path.write_text("[]")
