@@ -101,16 +101,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _step_size_cm(text: str) -> float:
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
-    if not MIN_STEP_SIZE_CM <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a finite step of at least {MIN_STEP_SIZE_CM:g} cm")
+
+
+def _positive_finite(what: str, least: float = 0.0):
+    """An argparse type: a finite number above 0 and at least `least`; `what` names it."""
+    def parse(text: str) -> float:
+        value = _float(text)
+        if not value > 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+        if not least <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite {what}")
+        return value
+    return parse
+
+
+def _rate(text: str) -> float:
+    value = _float(text)
+    if not 0 <= value <= 1:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rate in [0, 1]")
     return value
 
 
@@ -284,9 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--provider", choices=PROVIDERS, default="template-only")
         p.add_argument("--mock-fixtures", help="mock fixture directory (provider=mock)")
-        p.add_argument("--step-size", type=_step_size_cm, default=60.0,
-                       help="walking step size in cm")
-        p.add_argument("--scale", type=float, default=None,
+        p.add_argument("--step-size", default=60.0, help="walking step size in cm",
+                       type=_positive_finite(f"step of at least {MIN_STEP_SIZE_CM:g} cm",
+                                             MIN_STEP_SIZE_CM))
+        p.add_argument("--scale", type=_positive_finite("scale"), default=None,
                        help="pixel scale in cm/px (enables clearance checks)")
         p.add_argument("--seed", type=int, default=None)
 
@@ -327,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--suite", required=True, help="route suite JSON")
     p.add_argument("--report", help="write the machine-readable report here")
-    p.add_argument("--fault-rate", type=float, default=0.0,
+    p.add_argument("--fault-rate", type=_rate, default=0.0,
                    help="seeded checkpoint-mismatch rate")
     p.set_defaults(func=cmd_eval)
 

@@ -17,12 +17,12 @@ from pathlib import Path
 
 from .gateway import GatewayError, LlmGateway, PayloadError, extract_structured_payload
 from .graph import (
-    DOOR_ID_RE,
     PASSAGE,
     FloorGraph,
     GraphEdge,
     RoomNode,
     connected_components,
+    edge_violations,
     graph_to_payload,
     infer_kind,
     matrix_violations,
@@ -38,8 +38,7 @@ R_C_DEFAULT = 2  # corrective re-parses after the initial attempt
 CHECK_CONNECTIVITY = "connectivity"
 CHECK_DOOR_EDGES = "door_edge_consistency"
 CHECK_SPATIAL = "spatial_coherence"
-CHECK_ISOLATED = "isolated_nodes"
-STRUCTURAL_CHECKS = (CHECK_CONNECTIVITY, CHECK_DOOR_EDGES, CHECK_SPATIAL, CHECK_ISOLATED)
+STRUCTURAL_CHECKS = (CHECK_CONNECTIVITY, CHECK_DOOR_EDGES, CHECK_SPATIAL)
 
 _SYNTHETIC_GRID_STEP = 100.0
 
@@ -84,7 +83,6 @@ class RoomInfo:
 class RawParse:
     """Schema-shaped parser output, prior to spatial grounding."""
 
-    approach: str
     nodes_elements: tuple[str, ...]
     adjacency_matrix: tuple[tuple, ...]
     edges: tuple[RawEdge, ...]
@@ -101,6 +99,8 @@ class RawParse:
             matrix = tuple(tuple(row) for row in payload.get("adjacency_matrix", []))
             edges = []
             for raw in payload.get("edges", []):
+                if not isinstance(raw, dict):
+                    raise ParseError(f"edge record must be an object, got {raw!r}")
                 bbox = raw.get("door_bbox")
                 edges.append(RawEdge(
                     from_room=str(raw["from"]),
@@ -110,6 +110,8 @@ class RawParse:
                 ))
             rooms = []
             for raw in payload.get("rooms_info", []) or []:
+                if not isinstance(raw, dict):
+                    raise ParseError(f"rooms_info record must be an object, got {raw!r}")
                 rooms.append(RoomInfo(
                     name=str(raw.get("name", "")),
                     size=raw.get("size"),
@@ -119,7 +121,6 @@ class RawParse:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"parser payload does not follow the schema: {exc}") from exc
         return cls(
-            approach=str(payload.get("approach", "")),
             nodes_elements=tuple(names),
             adjacency_matrix=matrix,
             edges=tuple(edges),
@@ -141,14 +142,7 @@ class RawParse:
         known = set(keys)
         linked: set[str] = set()
         for e in self.edges:
-            if name_key(e.from_room) == name_key(e.to_room):
-                problems.append(f"edge {e.from_room!r}->{e.to_room!r} links a room to itself")
-            if e.via != PASSAGE and not DOOR_ID_RE.match(e.via):
-                problems.append(f"edge via must be Door_D<n> or passage, got {e.via!r}")
-            if e.door_bbox is not None:
-                x1, y1, x2, y2 = e.door_bbox
-                if not (x1 < x2 and y1 < y2):
-                    problems.append(f"degenerate door_bbox {list(e.door_bbox)}")
+            problems.extend(edge_violations(e.from_room, e.to_room, e.via, e.door_bbox))
             for endpoint in (e.from_room, e.to_room):
                 if name_key(endpoint) not in known:
                     problems.append(
@@ -317,9 +311,12 @@ def critic_check(
     dets: DetectionSet,
     gateway: LlmGateway | None = None,
 ) -> CriticReport:
-    """Agent 3: four deterministic structural checks, plus optional LLM review.
+    """Agent 3: three deterministic structural checks, plus optional LLM review.
 
-    LLM findings are advisory; only the structural checks decide `passed`.
+    Connectivity, door-edge consistency and spatial coherence. A room without
+    an edge needs no check of its own: the parser schema rejects it, and in any
+    graph of two or more rooms it breaks connectivity. LLM findings are
+    advisory; only the structural checks decide `passed`.
     """
     issues: list[str] = []
     fixes: list[str] = []
@@ -332,12 +329,6 @@ def critic_check(
         listing = "; ".join(str(sorted(c)) for c in components)
         issues.append(f"graph has {len(components)} disconnected components: {listing}")
         fixes.append("add the door or passage edges that join the separated components")
-
-    for node in g.nodes:
-        if not any(name_key(node.name) in e.pair_key() for e in g.edges):
-            failed.add(CHECK_ISOLATED)
-            issues.append(f"room {node.name!r} is isolated (no edges)")
-            fixes.append(f"connect {node.name!r} to its neighbouring space")
 
     door_edges = [e for e in g.edges if e.is_door]
     for det in dets.doors():
@@ -382,9 +373,10 @@ def critic_check(
 
     if gateway is not None:
         try:
+            document = graph_to_payload(g)
             text = gateway.complete_template("self_critic", {
-                "graph_json": json.dumps(graph_to_payload(g)),
-                "edges_json": json.dumps(graph_to_payload(g)["edges"]),
+                "graph_json": json.dumps(document),
+                "edges_json": json.dumps(document["edges"]),
                 "detection_summary": detection_summary(dets),
                 "structural_issues": "; ".join(issues) or "none",
             })

@@ -1,6 +1,6 @@
 """Provider-agnostic chat completion: prompt templates, payload extraction, mock.
 
-The four agent prompts live as versioned text assets under prompts/. The
+The three agent prompts live as versioned text assets under prompts/. The
 MockProvider answers offline and deterministically; the HttpProvider talks to
 an OpenAI-style chat endpoint when one is configured.
 """
@@ -19,8 +19,12 @@ from pathlib import Path
 
 logger = logging.getLogger(__name__)
 
-PROMPT_IDS = ("parser", "self_critic", "planner", "safety")
+PROMPT_IDS = ("parser", "self_critic", "planner")
 PROMPT_VERSION = "1"
+# what HttpProvider sends with every request, and how often the gateway retries transport
+TEMPERATURE = 0.0
+MAX_TOKENS = 4096
+TRANSPORT_RETRIES = 2
 PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
 
@@ -102,8 +106,6 @@ def render_prompt(template: PromptTemplate, bindings: dict[str, str]) -> str:
 class CompletionRequest:
     prompt: str
     image_ref: str | None = None
-    temperature: float = 0.0
-    max_tokens: int = 2048
     # set when the request was rendered from a template; the mock keys on these
     template_id: str | None = None
     bindings: tuple[tuple[str, str], ...] = ()
@@ -111,10 +113,6 @@ class CompletionRequest:
     def __post_init__(self) -> None:
         if not self.prompt:
             raise GatewayError("prompt must be non-empty")
-        if self.temperature < 0:
-            raise GatewayError("temperature must be >= 0")
-        if self.max_tokens <= 0:
-            raise GatewayError("max_tokens must be positive")
 
 
 @dataclass(frozen=True)
@@ -136,11 +134,6 @@ def fixture_key(template_id: str, bindings: dict[str, str] | tuple[tuple[str, st
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def prompt_key(prompt: str) -> str:
-    """Fallback mock key for requests without template metadata."""
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class MockCall:
     template_id: str | None
@@ -153,8 +146,8 @@ class MockProvider:
     """Deterministic offline provider.
 
     Responses resolve, in order: an exact fixture keyed by
-    fixture_key(template_id, bindings); a fixture keyed by prompt hash; the
-    per-template script (successive calls consume entries, the last repeats).
+    fixture_key(template_id, bindings); the per-template script (successive
+    calls consume entries, the last repeats).
     Fixture lookups are pure functions of (template id, bindings).
     """
 
@@ -187,8 +180,6 @@ class MockProvider:
         text = None
         if request.template_id is not None:
             text = self._fixtures.get(fixture_key(request.template_id, request.bindings))
-        if text is None:
-            text = self._fixtures.get(prompt_key(request.prompt))
         if text is None and request.template_id in self._scripts:
             entries = self._scripts[request.template_id]
             pos = self._cursor[request.template_id]
@@ -259,8 +250,8 @@ class HttpProvider:
         body = {
             "model": self.config.model_name,
             "messages": [{"role": "user", "content": content}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         try:
             response = requests.post(
@@ -286,19 +277,9 @@ class HttpProvider:
 class LlmGateway:
     """Renders agent prompts and completes them against the configured provider."""
 
-    def __init__(
-        self,
-        provider,
-        prompt_dir: str | Path | None = None,
-        temperature: float = 0.0,
-        max_tokens: int = 4096,
-        transport_retries: int = 2,
-    ):
+    def __init__(self, provider, prompt_dir: str | Path | None = None):
         self.provider = provider
         self.prompt_dir = prompt_dir
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        self.transport_retries = transport_retries
         self._templates: dict[str, PromptTemplate] = {}
 
     def template(self, template_id: str) -> PromptTemplate:
@@ -315,11 +296,10 @@ class LlmGateway:
             try:
                 return self.provider.complete(request)
             except TransportError:
-                if attempt >= self.transport_retries:
+                if attempt >= TRANSPORT_RETRIES:
                     raise
                 attempt += 1
-                logger.warning("transport failure, retry %d/%d",
-                               attempt, self.transport_retries)
+                logger.warning("transport failure, retry %d/%d", attempt, TRANSPORT_RETRIES)
 
     def complete_template(
         self,
@@ -331,8 +311,6 @@ class LlmGateway:
         request = CompletionRequest(
             prompt=prompt,
             image_ref=image_ref,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
             template_id=template_id,
             bindings=tuple(sorted((k, str(v)) for k, v in bindings.items())),
         )

@@ -109,6 +109,24 @@ class RoomNode:
             raise GraphError(f"ocr_confidence of {self.name!r} outside [0, 1]")
 
 
+def edge_violations(from_room: str, to_room: str, via: str, door_bbox) -> list[str]:
+    """The edge rules, as messages in rule order; empty when the edge is well formed.
+
+    An edge links two different rooms, through `passage` or a `Door_D<n>` id,
+    and a door bbox, when given, is four numbers (x1, y1, x2, y2) with x1 < x2
+    and y1 < y2. The messages are fed back to the parser that wrote the edge.
+    """
+    found = []
+    if name_key(from_room) == name_key(to_room):
+        found.append(f"edge {from_room!r}->{to_room!r} links a room to itself")
+    if via != PASSAGE and not DOOR_ID_RE.match(via):
+        found.append(f"edge via must be Door_D<n> or passage, got {via!r}")
+    if door_bbox is not None and not (
+            len(door_bbox) == 4 and door_bbox[0] < door_bbox[2] and door_bbox[1] < door_bbox[3]):
+        found.append(f"degenerate door_bbox {list(door_bbox)}")
+    return found
+
+
 @dataclass(frozen=True)
 class GraphEdge:
     """An adjacency between two rooms, mediated by a door or a passage."""
@@ -119,16 +137,10 @@ class GraphEdge:
     door_bbox: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if name_key(self.from_room) == name_key(self.to_room):
-            raise GraphError(f"edge endpoints must differ: {self.from_room!r}")
-        if self.via != PASSAGE and not DOOR_ID_RE.match(self.via):
-            raise GraphError(
-                f"edge mediation must be {PASSAGE!r} or 'Door_D<n>', got {self.via!r}"
-            )
+        found = edge_violations(self.from_room, self.to_room, self.via, self.door_bbox)
+        if found:
+            raise GraphError(found[0])
         if self.door_bbox is not None:
-            x1, y1, x2, y2 = self.door_bbox
-            if not (x1 < x2 and y1 < y2):
-                raise GraphError(f"degenerate door bbox {list(self.door_bbox)}")
             object.__setattr__(self, "door_bbox", tuple(float(v) for v in self.door_bbox))
 
     @property
@@ -345,7 +357,7 @@ def connected_components(g: FloorGraph) -> list[set[str]]:
 
 # --- serialization (field names mirror the parser JSON schema) ---
 
-def graph_to_payload(g: FloorGraph, approach: str = "") -> dict:
+def graph_to_payload(g: FloorGraph) -> dict:
     """Serialize to the parser-schema document (nodes_elements/adjacency_matrix/edges/rooms_info)."""
     nodes_elements = []
     rooms_info = []
@@ -377,7 +389,7 @@ def graph_to_payload(g: FloorGraph, approach: str = "") -> dict:
         edges.append(entry)
 
     return {
-        "approach": approach,
+        "approach": "",
         "nodes_elements": nodes_elements,
         "adjacency_matrix": g.adjacency.tolist(),
         "edges": edges,

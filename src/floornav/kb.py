@@ -139,14 +139,14 @@ class VisualContext:
     element_notes: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class KnowledgeBase:
     building_id: str
     graph: FloorGraph
     docs: tuple[SemanticDoc, ...]
     index: VectorIndex
     visual: VisualContext
-    embedder: HashEmbedder = field(default_factory=HashEmbedder)
+    embedder: HashEmbedder = field(default_factory=HashEmbedder, compare=False)
 
     def __post_init__(self) -> None:
         doc_ids = {d.doc_id for d in self.docs}
@@ -159,15 +159,6 @@ class KnowledgeBase:
             if d.doc_id == doc_id:
                 return d
         raise KeyError(doc_id)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnowledgeBase):
-            return NotImplemented
-        return (self.building_id == other.building_id
-                and self.graph == other.graph
-                and self.docs == other.docs
-                and self.index == other.index
-                and self.visual == other.visual)
 
 
 def _wall_side(g: FloorGraph, edge: GraphEdge) -> str:
@@ -203,13 +194,8 @@ def _size_line(g: FloorGraph, name: str) -> str | None:
     return f"{name} size: {size}" if size else None
 
 
-def build_semantic_docs(
-    g: FloorGraph,
-    dets: DetectionSet,
-    annotations: dict[str, str] | None = None,
-) -> list[SemanticDoc]:
+def build_semantic_docs(g: FloorGraph, dets: DetectionSet) -> list[SemanticDoc]:
     """One room card per node, one door card per door edge, one transition card per edge."""
-    annotations = annotations or {}
     docs: list[SemanticDoc] = []
     used_ids: set[str] = set()
 
@@ -266,10 +252,6 @@ def build_semantic_docs(
                 for other in neighbours
             )
             lines.append(f"Connected rooms: {entries}")
-
-        note = annotations.get(node.name) or annotations.get(name_key(node.name))
-        if note:
-            lines.append(f"Surface: {note}")
 
         docs.append(SemanticDoc(
             doc_id=unique(f"room:{node.name}"), kind="room", body="\n".join(lines),
@@ -333,11 +315,10 @@ def build_knowledge_base(
     dets: DetectionSet,
     building_id: str,
     embedder: HashEmbedder | None = None,
-    annotations: dict[str, str] | None = None,
 ) -> KnowledgeBase:
     """Ingest a validated graph plus detections into the three-tier store."""
     embedder = embedder or HashEmbedder()
-    docs = tuple(build_semantic_docs(g, dets, annotations))
+    docs = tuple(build_semantic_docs(g, dets))
     return KnowledgeBase(
         building_id=building_id,
         graph=g,
@@ -484,7 +465,7 @@ def persist(kb: KnowledgeBase, directory: str | Path) -> None:
     ])
     _write_atomic(root / "vectors.json", {"dimension": kb.index.dimension})
     dets = kb.visual.detections
-    _write_atomic(root / "visual.json", {
+    visual = {
         "image_ref": kb.visual.image_ref,
         "detections": [
             {"class": d.class_name, "confidence": d.confidence,
@@ -492,7 +473,10 @@ def persist(kb: KnowledgeBase, directory: str | Path) -> None:
             for d in dets.detections
         ],
         "labels": [[name, list(pos)] for name, pos in dets.labels],
-    })
+    }
+    if dets.rejected:
+        visual["rejected"] = list(dets.rejected)
+    _write_atomic(root / "visual.json", visual)
 
 
 def _check_docs(g: FloorGraph, docs: tuple[SemanticDoc, ...]) -> None:
@@ -551,6 +535,10 @@ def load(directory: str | Path) -> KnowledgeBase:
                 f"got {dimension!r}")
         embedder = HashEmbedder(dimension)
         visual_payload = read("visual.json")
+        rejected = visual_payload.get("rejected", [])
+        if not isinstance(rejected, list) or not all(isinstance(r, str) for r in rejected):
+            raise CorruptStoreError(
+                f"visual.json: rejected must be an array of strings, got {rejected!r}")
         dets = DetectionSet(
             image_ref=visual_payload.get("image_ref", ""),
             detections=tuple(
@@ -563,6 +551,7 @@ def load(directory: str | Path) -> KnowledgeBase:
                 (name, (float(pos[0]), float(pos[1])))
                 for name, pos in visual_payload.get("labels", [])
             ),
+            rejected=tuple(rejected),
         )
         return KnowledgeBase(
             building_id=str(manifest.get("building_id", "")),

@@ -121,7 +121,6 @@ class NavPlan:
     safe: bool = True
     degraded: bool = False
     prior_hazards: tuple[Hazard, ...] = ()  # pre-reroute findings, kept for the report
-    is_reroute: bool = False
 
     def max_severity(self) -> int:
         return max((h.severity for h in self.hazards), default=0)
@@ -192,7 +191,7 @@ def template_steps(
             number += 1
 
         distance_px = math.dist(g.node(here).centroid, g.node(there).centroid)
-        distance_cm = distance_px * scale_cm_per_px if scale_cm_per_px else distance_px
+        distance_cm = distance_px if scale_cm_per_px is None else distance_px * scale_cm_per_px
         units = max(1, round(distance_cm / step_size_cm))
         edge = _leg_edge(g, here, there)
         if edge is not None and edge.is_door:
@@ -407,9 +406,10 @@ def _llm_steps(
     step_size_cm: float,
     safety_context: str,
 ) -> list[NavStep]:
+    document = graph_to_payload(g)
     bindings = {
-        "graph_json": json.dumps(graph_to_payload(g)),
-        "edges_json": json.dumps(graph_to_payload(g)["edges"]),
+        "graph_json": json.dumps(document),
+        "edges_json": json.dumps(document["edges"]),
         "safety_context": (context.as_prompt_block() + ("\n\n" + safety_context if safety_context else "")),
         "start": context.start,
         "destination": context.destination,

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import count
 from pathlib import Path
@@ -28,6 +29,7 @@ ROUTE_CLASSES = ("short", "medium", "long")
 SHORT_MAX_HOPS = 2
 MEDIUM_MAX_HOPS = 5
 TRIAL_EVENTS = ("arrived", "scanned", "deviated")  # the walk events a TrialResult keeps
+MAX_REROUTES = 5  # a trial fails on the deviation after this many re-plans
 
 
 class UnknownMarkerError(RuntimeError):
@@ -122,6 +124,10 @@ class TruthManifest:
         inaccessible = payload.get("inaccessible", [])
         if not isinstance(inaccessible, list) or not all(isinstance(r, str) for r in inaccessible):
             raise TruthManifestError("inaccessible must be an array of room names")
+        scale = payload.get("scale_cm_per_px")
+        if scale is not None and (type(scale) not in (int, float) or not 0 < scale < math.inf):
+            raise TruthManifestError(
+                f"scale_cm_per_px must be null or a finite number above 0, got {scale!r}")
         try:
             return cls(
                 graph=graph_from_payload(payload["graph"]),
@@ -130,7 +136,7 @@ class TruthManifest:
                     for c in checkpoints
                 ),
                 inaccessible=frozenset(inaccessible),
-                scale_cm_per_px=payload.get("scale_cm_per_px"),
+                scale_cm_per_px=scale,
                 building_id=str(payload.get("building_id", "")),
             )
         except KeyError as exc:
@@ -341,7 +347,6 @@ def simulate_walk(
     rerouter: Callable[[str, str], NavPlan] | None = None,
     route_id: str = "route",
     route_class: str = "short",
-    max_reroutes: int = 5,
 ) -> TrialResult:
     """Replay a plan's transitions against the ground-truth graph.
 
@@ -386,7 +391,7 @@ def simulate_walk(
         elif kind == "deviated":
             if rerouter is None:
                 return fail(f"checkpoint mismatch at {current} without reroute support")
-            if reroutes >= max_reroutes:
+            if reroutes >= MAX_REROUTES:
                 return fail("reroute limit exceeded")
         elif kind == "rerouted":
             reroutes += 1
@@ -408,9 +413,8 @@ def reroute_from(
     scale_cm_per_px: float | None = None,
 ) -> NavPlan:
     """Re-plan from a detected checkpoint, reusing the active step size."""
-    plan = navigate(kb, current, destination, step_size_cm,
+    return navigate(kb, current, destination, step_size_cm,
                     gateway=gateway, scale_cm_per_px=scale_cm_per_px)
-    return replace(plan, is_reroute=True)
 
 
 @dataclass(frozen=True)

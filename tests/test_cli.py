@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import math
 
 import pytest
 
@@ -12,6 +14,7 @@ from floornav.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from floornav.gateway import LlmGateway, MockProvider
@@ -389,6 +392,12 @@ def error_env(tmp_path, nine_room_env, golden_files):
                        ("golden_suite", '[{"start": "Cellier", "destination": "Sejour"}]')):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
+    for name, scale in (("string_scale_truth", "2"), ("nan_scale_truth", math.nan),
+                        ("zero_scale_truth", 0), ("negative_scale_truth", -3)):
+        payload = nine_room_env["truth_manifest"].to_payload()
+        payload["scale_cm_per_px"] = scale
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
     garbage = MockProvider()
     garbage.script("parser", ["not json at all"])
     for name, provider in (("garbage_fixtures", garbage), ("empty_fixtures", MockProvider())):
@@ -419,6 +428,16 @@ EXTRACT = ["extract", "--detections", "{dets}", "--out", "{out}"]
 MOCK = ["--provider", "mock", "--mock-fixtures"]
 WALK = ["walk", "--kb", "{kb}", "--truth", "{truth}"]
 EVAL = ["eval", "--kb", "{kb}", "--truth", "{truth}"]
+NAVIGATE = ["navigate", "--kb", "{kb}", "Room 01", "Room 03"]
+BAD_TRUTH_SCALE = "scale_cm_per_px must be null or a finite number above 0, got "
+
+
+def usage_error(command: str, message: str) -> str:
+    """What `floornav <command>` prints to stderr for a bad argument, braces escaped."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    text = sub.choices[command].format_usage() + f"floornav {command}: error: {message}\n"
+    return text.replace("{", "{{").replace("}", "}}")
+
 
 # (argv, exit code, stderr); "{name}" fields are error_env paths. The order of
 # the checks is pinned too: the live/seed flag checks come first; in extract the
@@ -465,6 +484,14 @@ ERROR_PATHS = {
     "navigate-unknown-room": (
         ["navigate", "--kb", "{kb}", "Room 01", "Attic"], EXIT_USAGE,
         "error: unknown room 'Attic'\n"),
+    "navigate-nan-scale": (NAVIGATE + ["--scale", "nan"], EXIT_USAGE, usage_error(
+        "navigate", "argument --scale: 'nan' is not a positive number")),
+    "navigate-infinite-scale": (NAVIGATE + ["--scale", "inf"], EXIT_USAGE, usage_error(
+        "navigate", "argument --scale: 'inf' is not a finite scale")),
+    "navigate-zero-scale": (NAVIGATE + ["--scale", "0"], EXIT_USAGE, usage_error(
+        "navigate", "argument --scale: '0' is not a positive number")),
+    "navigate-negative-scale": (NAVIGATE + ["--scale", "-1"], EXIT_USAGE, usage_error(
+        "navigate", "argument --scale: '-1' is not a positive number")),
     "navigate-no-path": (
         ["navigate", "--kb", "{island_kb}", "Room 01", "Island"], EXIT_USAGE,
         "error: no route between 'Room 01' and 'Island'\n"),
@@ -484,6 +511,12 @@ ERROR_PATHS = {
         ["walk", "--kb", "{golden_kb}", "--truth", "{golden_bad_truth}", "Cellier", "Sejour"],
         EXIT_IO, "error: {golden_bad_truth}: graph: edge_matrix_agreement: matrix[0][4] == 1 "
                  "but no edge links 'Cuisine' and 'Sejour'\n"),
+    "walk-string-truth-scale": (
+        ["walk", "--kb", "{kb}", "--truth", "{string_scale_truth}", "Room 01", "Room 03"],
+        EXIT_IO, "error: {string_scale_truth}: " + BAD_TRUTH_SCALE + "'2'\n"),
+    "walk-nan-truth-scale": (
+        ["walk", "--kb", "{kb}", "--truth", "{nan_scale_truth}", "Room 01", "Room 03"],
+        EXIT_IO, "error: {nan_scale_truth}: " + BAD_TRUTH_SCALE + "nan\n"),
     "walk-unknown-room-suggested": (
         WALK + ["Rom 01", "Room 03"], EXIT_USAGE,
         "error: unknown room 'Rom 01'; did you mean 'Room 01'?\n"),
@@ -496,6 +529,21 @@ ERROR_PATHS = {
     "eval-fault-rate-without-seed": (
         ["eval", "--kb", "{no_kb}", "--truth", "{no_truth}", "--suite", "{no_suite}",
          "--fault-rate", "0.5"], EXIT_USAGE, "error: a fault rate requires --seed\n"),
+    "eval-fault-rate-above-one": (
+        EVAL + ["--suite", "{suite}", "--seed", "1", "--fault-rate", "2"], EXIT_USAGE,
+        usage_error("eval", "argument --fault-rate: '2' is not a rate in [0, 1]")),
+    "eval-negative-fault-rate": (
+        EVAL + ["--suite", "{suite}", "--seed", "1", "--fault-rate", "-0.5"], EXIT_USAGE,
+        usage_error("eval", "argument --fault-rate: '-0.5' is not a rate in [0, 1]")),
+    "eval-nan-fault-rate": (
+        EVAL + ["--suite", "{suite}", "--seed", "1", "--fault-rate", "nan"], EXIT_USAGE,
+        usage_error("eval", "argument --fault-rate: 'nan' is not a rate in [0, 1]")),
+    "eval-zero-truth-scale": (
+        ["eval", "--kb", "{kb}", "--truth", "{zero_scale_truth}", "--suite", "{suite}"],
+        EXIT_IO, "error: {zero_scale_truth}: " + BAD_TRUTH_SCALE + "0\n"),
+    "eval-negative-truth-scale": (
+        ["eval", "--kb", "{kb}", "--truth", "{negative_scale_truth}", "--suite", "{suite}"],
+        EXIT_IO, "error: {negative_scale_truth}: " + BAD_TRUTH_SCALE + "-3\n"),
     "eval-missing-kb": (
         ["eval", "--kb", "{no_kb}", "--truth", "{truth}", "--suite", "{suite}"],
         EXIT_IO, "error: no knowledge base at {no_kb}\n"),

@@ -256,6 +256,20 @@ class TestRunExtraction:
             run_extraction(gw, "plan.png", golden_dets)
         assert len(err.value.history) == 3
 
+    @pytest.mark.parametrize("change, finding", [
+        (lambda p: p["edges"].append(1), "edge record must be an object, got 1"),
+        (lambda p: p["rooms_info"].append(1), "rooms_info record must be an object, got 1"),
+        (lambda p: next(e for e in p["edges"] if "door_bbox" in e).update(door_bbox=[1, 2, 3]),
+         "degenerate door_bbox [1.0, 2.0, 3.0]"),
+    ], ids=["non-object-edge", "non-object-room-info", "three-number-bbox"])
+    def test_malformed_record_is_retried_with_its_finding(self, golden_dets, change, finding):
+        bad = buildings.golden_parser_payload()
+        change(bad)
+        gw, _ = make_gateway(parser=[payload_response(bad), buildings.golden_parser_response()])
+        result = run_extraction(gw, "plan.png", golden_dets)
+        assert result.passed and result.attempts == 2
+        assert result.history[0] == (0, (finding,))
+
     def test_parser_call_count_never_exceeds_rc_plus_one(self):
         for r_c in (0, 1, 2, 3):
             gw, provider = make_gateway(

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -8,6 +9,7 @@ from floornav.gateway import (
     CompletionRequest,
     HttpProvider,
     LlmGateway,
+    MAX_TOKENS,
     MalformedPayloadError,
     MissingBindingError,
     MockProvider,
@@ -17,6 +19,8 @@ from floornav.gateway import (
     PromptTemplate,
     ProviderConfig,
     ProviderError,
+    TEMPERATURE,
+    TRANSPORT_RETRIES,
     TransportError,
     extract_structured_payload,
     fixture_key,
@@ -26,10 +30,14 @@ from floornav.gateway import (
 
 
 class TestTemplates:
-    def test_all_four_assets_load(self):
+    def test_every_asset_loads_and_none_is_orphaned(self):
         for template_id in PROMPT_IDS:
             template = load_template(template_id)
             assert template.body.strip()
+        assets = resources.files("floornav") / "prompts"
+        stems = {path.name[:-len(".txt")] for path in assets.iterdir()
+                 if path.name.endswith(".txt")}
+        assert stems == set(PROMPT_IDS)
 
     def test_expected_placeholders(self):
         assert load_template("parser").placeholders == ("detection_context",)
@@ -38,9 +46,6 @@ class TestTemplates:
         assert load_template("planner").placeholders == (
             "destination", "edges_json", "graph_json", "safety_context",
             "start", "step_size")
-        assert load_template("safety").placeholders == (
-            "detection_summary", "edges_json", "existing_hazards",
-            "graph_json", "path")
 
     def test_parser_renders_with_empty_grounding(self):
         text = render_prompt(load_template("parser"), {"detection_context": ""})
@@ -175,6 +180,51 @@ class TestHttpProvider:
             model_name="m", timeout=2.0))
         with pytest.raises(TransportError):
             provider.complete(CompletionRequest(prompt="hi"))
+
+    def test_request_body_carries_the_fixed_sampling_settings(self, monkeypatch):
+        monkeypatch.setenv("FLOORNAV_API_KEY", "k")
+        bodies = []
+
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"message": {"content": "[]"}}]}
+
+        def post(url, json, headers, timeout):
+            bodies.append(json)
+            return Reply()
+
+        monkeypatch.setattr("requests.post", post)
+        provider = HttpProvider(ProviderConfig(endpoint="http://127.0.0.1:9/v1", model_name="m"))
+        assert provider.complete(CompletionRequest(prompt="hi")) == "[]"
+        assert bodies == [{"model": "m", "messages": [{"role": "user", "content": "hi"}],
+                           "temperature": TEMPERATURE, "max_tokens": MAX_TOKENS}]
+        assert (TEMPERATURE, MAX_TOKENS) == (0.0, 4096)
+
+
+class TestTransportRetries:
+    class Flaky:
+        def __init__(self, failures):
+            self.failures = failures
+            self.calls = 0
+
+        def complete(self, request):
+            self.calls += 1
+            if self.calls <= self.failures:
+                raise TransportError("down")
+            return "ok"
+
+    def test_recovers_within_the_retry_budget(self):
+        provider = self.Flaky(TRANSPORT_RETRIES)
+        assert LlmGateway(provider).complete_template("parser", {"detection_context": ""}) == "ok"
+        assert provider.calls == TRANSPORT_RETRIES + 1 == 3
+
+    def test_gives_up_after_the_retry_budget(self):
+        provider = self.Flaky(TRANSPORT_RETRIES + 1)
+        with pytest.raises(TransportError):
+            LlmGateway(provider).complete_template("parser", {"detection_context": ""})
+        assert provider.calls == TRANSPORT_RETRIES + 1
 
 
 class TestRequestValidation:

@@ -20,6 +20,7 @@ from floornav.graph import (
     UnknownRoomError,
     bfs_shortest_path,
     connected_components,
+    edge_violations,
     graph_from_payload,
     graph_to_payload,
     name_key,
@@ -66,6 +67,21 @@ class TestNodeAndEdgeInvariants:
         with pytest.raises(GraphError):
             GraphEdge(from_room="A", to_room="B", via="Door_D1",
                       door_bbox=(10, 10, 5, 20))
+
+    def test_edge_error_is_the_first_parser_finding(self):
+        args = ("A", "a", "door3", (10, 10, 5, 20))
+        assert edge_violations(*args) == [
+            "edge 'A'->'a' links a room to itself",
+            "edge via must be Door_D<n> or passage, got 'door3'",
+            "degenerate door_bbox [10, 10, 5, 20]",
+        ]
+        with pytest.raises(GraphError) as info:
+            GraphEdge(*args)
+        assert str(info.value) == "edge 'A'->'a' links a room to itself"
+
+    def test_edge_rejects_bbox_without_four_numbers(self):
+        with pytest.raises(GraphError, match=r"^degenerate door_bbox \[1, 2, 3\]$"):
+            GraphEdge(from_room="A", to_room="B", via="Door_D1", door_bbox=(1, 2, 3))
 
     def test_room_lookup_is_case_insensitive(self):
         g = make_graph(["Cuisine", "Repas"], [("Cuisine", "Repas")])

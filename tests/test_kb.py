@@ -70,12 +70,6 @@ class TestSemanticDocs:
         docs = build_semantic_docs(g, DetectionSet(image_ref="x"))
         assert [d.kind for d in docs] == ["room"]
 
-    def test_operator_annotations_become_surface_lines(self, golden_graph, golden_dets):
-        docs = build_semantic_docs(golden_graph, golden_dets,
-                                   annotations={"Hall": "smooth tile floor"})
-        hall = next(d for d in docs if d.doc_id == "room:Hall")
-        assert "Surface: smooth tile floor" in hall.body
-
     def test_source_refs_exist_in_graph(self, golden_graph, golden_dets):
         names = set(golden_graph.names())
         for doc in build_semantic_docs(golden_graph, golden_dets):
@@ -246,6 +240,18 @@ class TestPersistence:
         loaded = load(tmp_path / "kb")
         assert loaded == golden_kb
 
+    def test_rejected_detection_records_round_trip(self, golden_graph, golden_dets, tmp_path):
+        dets = DetectionSet(image_ref=golden_dets.image_ref, detections=golden_dets.detections,
+                            labels=golden_dets.labels,
+                            rejected=("record 4: confidence 1.5 outside [0, 1]",))
+        built = build_knowledge_base(golden_graph, dets, "golden")
+        persist(built, tmp_path / "kb")
+        visual = json.loads((tmp_path / "kb" / "visual.json").read_text())
+        assert visual["rejected"] == list(dets.rejected)
+        loaded = load(tmp_path / "kb")
+        assert loaded.visual.detections.rejected == dets.rejected
+        assert loaded == built
+
     def test_double_persist_is_byte_identical(self, golden_kb, tmp_path):
         persist(golden_kb, tmp_path / "kb")
         first = {p.name: p.read_bytes() for p in (tmp_path / "kb").iterdir()}
@@ -295,6 +301,7 @@ class TestPersistence:
         assert "adjacency_matrix" not in store["graph.json"]
         assert store["vectors.json"] == {"dimension": golden_kb.index.dimension}
         assert "element_notes" not in store["visual.json"]
+        assert "rejected" not in store["visual.json"]  # written only when there is one
         assert "dimension" not in store["manifest.json"]
         loaded = load(tmp_path / "kb")
         assert np.array_equal(loaded.graph.adjacency, golden_kb.graph.adjacency)
@@ -370,6 +377,11 @@ def _huge_dimension(store: Path, rng: random.Random) -> None:
     _edit(store / "vectors.json", lambda vectors: vectors.update(dimension=10 ** rng.randint(6, 12)))
 
 
+def _non_string_rejected(store: Path, rng: random.Random) -> None:
+    _edit(store / "visual.json",
+          lambda visual: visual.update(rejected=rng.choice([5, "record 1", [1], {"a": 1}])))
+
+
 def _v1_manifest(store: Path, rng: random.Random) -> None:
     _edit(store / "manifest.json",
           lambda manifest: manifest.update(schema_version=1, dimension=256))
@@ -383,6 +395,8 @@ TAMPERS = {
                                 "unknown room 'Attic'"),
     "missing-door-card": (_drop_door_card, CorruptStoreError, "cards, the graph needs"),
     "huge-dimension": (_huge_dimension, CorruptStoreError, "dimension must be an integer"),
+    "non-string-rejected": (_non_string_rejected, CorruptStoreError,
+                            "rejected must be an array of strings"),
     "v1-manifest": (_v1_manifest, StoreVersionError, "store has 1, expected 2"),
 }
 

