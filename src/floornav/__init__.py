@@ -33,11 +33,13 @@ from .graph import (
     FloorGraph,
     GraphEdge,
     RoomNode,
+    Route,
     UnknownRoomError,
     ValidationReport,
     bfs_shortest_path,
     connected_components,
     rebuild_adjacency,
+    shortest_route,
     validate_graph,
 )
 from .ingest import (

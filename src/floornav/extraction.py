@@ -75,8 +75,6 @@ class RawEdge:
 class RoomInfo:
     name: str
     size: str | None = None
-    doors: tuple[str, ...] = ()
-    connected_rooms: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -112,12 +110,11 @@ class RawParse:
             for raw in payload.get("rooms_info", []) or []:
                 if not isinstance(raw, dict):
                     raise ParseError(f"rooms_info record must be an object, got {raw!r}")
-                rooms.append(RoomInfo(
-                    name=str(raw.get("name", "")),
-                    size=raw.get("size"),
-                    doors=tuple(str(d) for d in raw.get("doors", []) or []),
-                    connected_rooms=tuple(str(r) for r in raw.get("connected_rooms", []) or []),
-                ))
+                size = raw.get("size")
+                if size is not None and not isinstance(size, str):
+                    raise ParseError(f"rooms_info record {raw.get('name')!r}: "
+                                     f"size must be a string, got {size!r}")
+                rooms.append(RoomInfo(name=str(raw.get("name", "")), size=size))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"parser payload does not follow the schema: {exc}") from exc
         return cls(
@@ -381,9 +378,13 @@ def critic_check(
                 "structural_issues": "; ".join(issues) or "none",
             })
             payload = extract_structured_payload(text)
-            issues.extend(str(x) for x in payload.get("issues", []))
-            fixes.extend(str(x) for x in payload.get("suggested_fixes", []))
-        except (GatewayError, AttributeError) as exc:
+            review = [payload.get(key, []) if isinstance(payload, dict) else None
+                      for key in ("issues", "suggested_fixes")]
+            if not all(isinstance(found, list) for found in review):
+                raise PayloadError("self-critic issues and suggested_fixes must be arrays")
+            issues.extend(str(x) for x in review[0])
+            fixes.extend(str(x) for x in review[1])
+        except GatewayError as exc:
             logger.warning("LLM self-critic unavailable, structural checks only: %s", exc)
 
     return CriticReport(

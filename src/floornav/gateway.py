@@ -1,6 +1,6 @@
 """Provider-agnostic chat completion: prompt templates, payload extraction, mock.
 
-The three agent prompts live as versioned text assets under prompts/. The
+The three agent prompts live as text assets under prompts/. The
 MockProvider answers offline and deterministically; the HttpProvider talks to
 an OpenAI-style chat endpoint when one is configured.
 """
@@ -20,7 +20,6 @@ from pathlib import Path
 logger = logging.getLogger(__name__)
 
 PROMPT_IDS = ("parser", "self_critic", "planner")
-PROMPT_VERSION = "1"
 # what HttpProvider sends with every request, and how often the gateway retries transport
 TEMPERATURE = 0.0
 MAX_TOKENS = 4096
@@ -196,7 +195,7 @@ class MockProvider:
         """Write fixtures/scripts to a directory with a readable index.json."""
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
-        index: dict = {"version": PROMPT_VERSION, "fixtures": {}, "scripts": {}}
+        index: dict = {"fixtures": {}, "scripts": {}}
         for i, (key, text) in enumerate(sorted(self._fixtures.items())):
             fname = f"fixture_{i:03d}.txt"
             (root / fname).write_text(text, encoding="utf-8")

@@ -335,6 +335,29 @@ def bfs_shortest_path(g: FloorGraph, start: str, destination: str) -> list[str] 
     return None
 
 
+@dataclass(frozen=True)
+class Route:
+    """A shortest path and, per leg, the one edge it crosses."""
+
+    path: tuple[str, ...]
+    legs: tuple[GraphEdge, ...]  # legs[i] joins path[i] and path[i + 1]
+
+
+def shortest_route(g: FloorGraph, start: str, destination: str) -> Route | None:
+    """The BFS path with the edge of each leg, or None when the rooms are disconnected.
+
+    A leg crosses the first door between its two rooms, else their first edge.
+    """
+    path = bfs_shortest_path(g, start, destination)
+    if path is None:
+        return None
+    legs = []
+    for a, b in zip(path, path[1:]):
+        edges = g.edges_between(a, b)
+        legs.append(next((e for e in edges if e.is_door), edges[0]))
+    return Route(path=tuple(path), legs=tuple(legs))
+
+
 def connected_components(g: FloorGraph) -> list[set[str]]:
     """Partition room names into connected components (lowest-index first)."""
     seen: set[int] = set()

@@ -22,7 +22,7 @@ import numpy as np
 from .graph import (
     FloorGraph,
     GraphEdge,
-    bfs_shortest_path,
+    Route,
     format_size,
     graph_from_payload,
     graph_to_payload,
@@ -356,22 +356,13 @@ def retrieve(kb: KnowledgeBase, query: str, k: int) -> list[tuple[SemanticDoc, f
 class NavigationContext:
     """Everything the planner needs for one query, from all three tiers."""
 
-    start: str
-    destination: str
-    path: tuple[str, ...] | None
-    room_docs: tuple[SemanticDoc, ...] = ()
+    path: tuple[str, ...]
     transition_docs: tuple[SemanticDoc, ...] = ()
     retrieved: tuple[tuple[SemanticDoc, float], ...] = ()
     door_notes: tuple[tuple[str, str], ...] = ()
     detection_summary: str = ""
 
-    @property
-    def no_path(self) -> bool:
-        return self.path is None
-
     def as_prompt_block(self) -> str:
-        if self.no_path:
-            return f"NO ROUTE: {self.start} and {self.destination} are not connected."
         lines = ["ROUTE: " + " -> ".join(self.path)]
         if self.transition_docs:
             lines.append("")
@@ -389,42 +380,18 @@ class NavigationContext:
         return "\n".join(lines)
 
 
-def assemble_context(kb: KnowledgeBase, start: str, destination: str,
-                     k: int = 5) -> NavigationContext:
-    """Bundle the graph path, on-path semantic docs, retrieval hits and door notes."""
-    g = kb.graph
-    start = g.node(start).name
-    destination = g.node(destination).name
-    path = bfs_shortest_path(g, start, destination)
-    if path is None:
-        return NavigationContext(start=start, destination=destination, path=None)
-
+def assemble_context(kb: KnowledgeBase, route: Route, k: int = 5) -> NavigationContext:
+    """Bundle a route with the transition card and door note of each leg, and retrieval hits."""
     docs_by_id = {d.doc_id: d for d in kb.docs}
-    room_docs = tuple(
-        docs_by_id[f"room:{name}"] for name in path if f"room:{name}" in docs_by_id
-    )
-    transition_docs = []
-    door_ids: list[str] = []
-    for a, b in zip(path, path[1:]):
-        for edge in g.edges_between(a, b):
-            doc = docs_by_id.get(f"transition:{edge.from_room}->{edge.to_room}")
-            if doc is not None:
-                transition_docs.append(doc)
-            if edge.is_door:
-                door_ids.append(edge.via)
-            break  # one transition card per leg
-
+    cards = (docs_by_id.get(f"transition:{e.from_room}->{e.to_room}") for e in route.legs)
     notes = dict(kb.visual.element_notes)
-    door_notes = tuple((d, notes[d]) for d in door_ids if d in notes)
-    hits = tuple(retrieve(kb, f"navigate from {start} to {destination}", k))
+    query = f"navigate from {route.path[0]} to {route.path[-1]}"
     return NavigationContext(
-        start=start,
-        destination=destination,
-        path=tuple(path),
-        room_docs=room_docs,
-        transition_docs=tuple(transition_docs),
-        retrieved=hits,
-        door_notes=door_notes,
+        path=route.path,
+        transition_docs=tuple(doc for doc in cards if doc is not None),
+        retrieved=tuple(retrieve(kb, query, k)),
+        door_notes=tuple((e.via, notes[e.via]) for e in route.legs
+                         if e.is_door and e.via in notes),
         detection_summary=summarize_detections(kb.visual.detections),
     )
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .gateway import LlmGateway, PayloadError, extract_structured_payload
-from .graph import FloorGraph, GraphEdge, bfs_shortest_path, graph_to_payload, name_key
+from .graph import FloorGraph, Route, graph_to_payload, name_key, shortest_route
 from .ingest import DetectionSet
 from .kb import KnowledgeBase, NavigationContext, assemble_context, cardinal_between
 
@@ -114,7 +114,7 @@ class Hazard:
 
 @dataclass(frozen=True)
 class NavPlan:
-    path: tuple[str, ...]
+    route: Route
     steps: tuple[NavStep, ...]
     hazards: tuple[Hazard, ...] = ()
     rerouted: bool = False
@@ -122,8 +122,9 @@ class NavPlan:
     degraded: bool = False
     prior_hazards: tuple[Hazard, ...] = ()  # pre-reroute findings, kept for the report
 
-    def max_severity(self) -> int:
-        return max((h.severity for h in self.hazards), default=0)
+    @property
+    def path(self) -> tuple[str, ...]:
+        return self.route.path
 
 
 def heading_after(heading: str, action: str) -> str:
@@ -142,22 +143,15 @@ def _hazard(kind: str, location: str) -> Hazard:
                   location=location, mitigation=HAZARD_MITIGATION[kind])
 
 
-def _leg_edge(g: FloorGraph, a: str, b: str) -> GraphEdge | None:
-    edges = g.edges_between(a, b)
-    if not edges:
-        return None
-    doors = [e for e in edges if e.is_door]
-    return doors[0] if doors else edges[0]
-
-
 def template_steps(
     g: FloorGraph,
-    path: list[str] | tuple[str, ...],
+    route: Route,
     step_size_cm: float,
     scale_cm_per_px: float | None = None,
     safety_context: str = "",
 ) -> list[NavStep]:
-    """Deterministic fallback planner: bearings from centroids, one move per edge."""
+    """Deterministic fallback planner: bearings from centroids, one move per leg."""
+    path = route.path
     destination = path[-1]
     steps: list[NavStep] = []
     number = 1
@@ -175,7 +169,7 @@ def template_steps(
 
     heading = bearing(path[0], path[1])
     cautioned = not safety_context
-    for here, there in zip(path, path[1:]):
+    for here, there, edge in zip(path, path[1:], route.legs):
         target = bearing(here, there)
         if target != heading:
             delta = (HEADING_DEGREES[target] - HEADING_DEGREES[heading]) % 360
@@ -193,8 +187,7 @@ def template_steps(
         distance_px = math.dist(g.node(here).centroid, g.node(there).centroid)
         distance_cm = distance_px if scale_cm_per_px is None else distance_px * scale_cm_per_px
         units = max(1, round(distance_cm / step_size_cm))
-        edge = _leg_edge(g, here, there)
-        if edge is not None and edge.is_door:
+        if edge.is_door:
             confirmation = f"Pass through {edge.via} into {there}"
             sensory = "Feel for the door frame as you pass."
         else:
@@ -301,7 +294,7 @@ def _point_segment_distance(p, a, b) -> float:
 
 def safety_evaluate(
     g: FloorGraph,
-    path: list[str] | tuple[str, ...],
+    route: Route,
     steps: list[NavStep] | tuple[NavStep, ...],
     dets: DetectionSet,
     scale_cm_per_px: float | None = None,
@@ -314,14 +307,14 @@ def safety_evaluate(
     pixel scale; without one it is skipped and noted in the log.
     """
     hazards: list[Hazard] = []
-    destination = path[-1] if path else ""
-    leg_edges = [(a, b, _leg_edge(g, a, b)) for a, b in zip(path, path[1:])]
+    destination = route.path[-1]
+    leg_edges = list(zip(route.path, route.path[1:], route.legs))
 
     if scale_cm_per_px is None:
         logger.info("no pixel scale configured; narrow-passage check skipped")
     else:
         for a, b, edge in leg_edges:
-            if edge is None or not edge.is_door or edge.door_bbox is None:
+            if not edge.is_door or edge.door_bbox is None:
                 continue
             x1, y1, x2, y2 = edge.door_bbox
             clearance = min(x2 - x1, y2 - y1) * scale_cm_per_px
@@ -334,7 +327,7 @@ def safety_evaluate(
 
     cited = {e.door_bbox for e in g.edges if e.is_door and e.door_bbox is not None}
     for a, b, edge in leg_edges:
-        if edge is None or edge.is_door:
+        if edge.is_door:
             continue
         seg_a, seg_b = g.node(a).centroid, g.node(b).centroid
         envelope = 0.25 * math.dist(seg_a, seg_b)
@@ -411,8 +404,8 @@ def _llm_steps(
         "graph_json": json.dumps(document),
         "edges_json": json.dumps(document["edges"]),
         "safety_context": (context.as_prompt_block() + ("\n\n" + safety_context if safety_context else "")),
-        "start": context.start,
-        "destination": context.destination,
+        "start": context.path[0],
+        "destination": context.path[-1],
         "step_size": f"{step_size_cm:g}",
     }
     text = gateway.complete_template("planner", bindings)
@@ -446,21 +439,21 @@ def plan_route(
     g = kb.graph
     start = g.node(start).name
     destination = g.node(destination).name
-    path = bfs_shortest_path(g, start, destination)
-    if path is None:
+    route = shortest_route(g, start, destination)
+    if route is None:
         raise NoPathError(f"no route between {start!r} and {destination!r}")
 
     degraded = False
     steps: list[NavStep] | None = None
     if gateway is not None:
-        context = assemble_context(kb, start, destination)
+        context = assemble_context(kb, route)
         attempts_left = 2 if allow_regeneration else 1
         extra = safety_context
         while attempts_left > 0:
             attempts_left -= 1
             try:
                 candidate = _llm_steps(gateway, g, context, step_size_cm, extra)
-                violations = validate_steps(candidate, path, g)
+                violations = validate_steps(candidate, route.path, g)
             except PayloadError as exc:
                 # transport/auth failures propagate; only bad payloads fall back
                 violations = [f"planner payload invalid: {exc}"]
@@ -476,9 +469,9 @@ def plan_route(
             degraded = True
 
     if steps is None:
-        steps = template_steps(g, path, step_size_cm, scale_cm_per_px, safety_context)
+        steps = template_steps(g, route, step_size_cm, scale_cm_per_px, safety_context)
 
-    return NavPlan(path=tuple(path), steps=tuple(steps), degraded=degraded)
+    return NavPlan(route=route, steps=tuple(steps), degraded=degraded)
 
 
 def navigate(
@@ -492,7 +485,7 @@ def navigate(
     """Plan, safety-evaluate, and re-plan once when severity reaches 4."""
     plan = plan_route(kb, start, destination, step_size_cm,
                       gateway=gateway, scale_cm_per_px=scale_cm_per_px)
-    hazards = tuple(safety_evaluate(kb.graph, plan.path, plan.steps,
+    hazards = tuple(safety_evaluate(kb.graph, plan.route, plan.steps,
                                     kb.visual.detections, scale_cm_per_px))
     max_severity = max((h.severity for h in hazards), default=0)
     if max_severity < REROUTE_SEVERITY:
@@ -503,10 +496,10 @@ def navigate(
     second = plan_route(kb, start, destination, step_size_cm,
                         gateway=gateway, scale_cm_per_px=scale_cm_per_px,
                         safety_context=alert, allow_regeneration=False)
-    second_hazards = tuple(safety_evaluate(kb.graph, second.path, second.steps,
+    second_hazards = tuple(safety_evaluate(kb.graph, second.route, second.steps,
                                            kb.visual.detections, scale_cm_per_px))
     return NavPlan(
-        path=second.path,
+        route=second.route,
         steps=second.steps,
         hazards=second_hazards,
         prior_hazards=hazards,

@@ -218,6 +218,16 @@ class TestCriticCheck:
         assert "LLM hunch" in report.issues
         assert "look again" in report.suggested_fixes
 
+    def test_non_array_llm_review_keeps_structural_checks_only(self, golden_graph, golden_dets,
+                                                               caplog):
+        structural = critic_check(golden_graph, golden_dets)
+        for reply in ({"issues": 5}, {"issues": "abc"}):
+            caplog.clear()
+            gw, _ = make_gateway(self_critic=[json.dumps(reply)])
+            report = critic_check(golden_graph, golden_dets, gateway=gw)
+            assert report == structural
+            assert "LLM self-critic unavailable" in caplog.text
+
 
 class TestRunExtraction:
     def test_pass_at_first_attempt_issues_one_parser_call(self, golden_dets):
@@ -259,9 +269,11 @@ class TestRunExtraction:
     @pytest.mark.parametrize("change, finding", [
         (lambda p: p["edges"].append(1), "edge record must be an object, got 1"),
         (lambda p: p["rooms_info"].append(1), "rooms_info record must be an object, got 1"),
+        (lambda p: p["rooms_info"][0].update(size=12),
+         "rooms_info record 'Cuisine': size must be a string, got 12"),
         (lambda p: next(e for e in p["edges"] if "door_bbox" in e).update(door_bbox=[1, 2, 3]),
          "degenerate door_bbox [1.0, 2.0, 3.0]"),
-    ], ids=["non-object-edge", "non-object-room-info", "three-number-bbox"])
+    ], ids=["non-object-edge", "non-object-room-info", "non-string-size", "three-number-bbox"])
     def test_malformed_record_is_retried_with_its_finding(self, golden_dets, change, finding):
         bad = buildings.golden_parser_payload()
         change(bad)

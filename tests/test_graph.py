@@ -25,6 +25,7 @@ from floornav.graph import (
     graph_to_payload,
     name_key,
     rebuild_adjacency,
+    shortest_route,
     validate_graph,
 )
 
@@ -191,6 +192,7 @@ class TestBfsShortestPath:
     def test_disconnected_returns_no_path(self):
         g = make_graph(["A", "B", "C", "D"], [("A", "B"), ("C", "D")])
         assert bfs_shortest_path(g, "A", "D") is None
+        assert shortest_route(g, "A", "D") is None
 
     def test_tie_break_prefers_lowest_node_index(self):
         # diamond: A-B, A-C, B-D, C-D; both routes have 2 hops, B comes first
@@ -326,6 +328,20 @@ def test_property_queries_agree_with_edge_list_oracles(rng):
             assert g.edges_between(a, b) == expected
             assert g.edges_between(f" {b.lower()} ", a.upper()) == expected
             assert g.adjacent(a, b) == bool(expected)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_property_route_is_the_bfs_path_through_door_first_legs(rng):
+    g = random_multigraph(rng)
+    for a in g.names():
+        for b in g.names():
+            route = shortest_route(g, a, b)
+            assert list(route.path) == bfs_shortest_path(g, a, b)
+            assert len(route.legs) == len(route.path) - 1
+            for here, there, leg in zip(route.path, route.path[1:], route.legs):
+                edges = oracles.edges_between_scan(g.edges, here, there)
+                assert leg == next((e for e in edges if e.is_door), edges[0])
 
 
 @given(st.randoms(use_true_random=False))

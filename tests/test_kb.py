@@ -12,8 +12,15 @@ import buildings
 import oracles
 from generators import random_connected_graph, random_detection_set, random_raw_parse
 from floornav.extraction import build_graph
-from floornav.graph import FloorGraph, GraphEdge, GraphError, RoomNode, rebuild_adjacency
-from floornav.ingest import DetectionSet
+from floornav.graph import (
+    FloorGraph,
+    GraphEdge,
+    GraphError,
+    RoomNode,
+    rebuild_adjacency,
+    shortest_route,
+)
+from floornav.ingest import Detection, DetectionSet
 from floornav.kb import (
     CorruptStoreError,
     HashEmbedder,
@@ -29,6 +36,7 @@ from floornav.kb import (
     persist,
     retrieve,
 )
+from floornav.navigation import plan_route
 
 
 class TestSemanticDocs:
@@ -199,39 +207,46 @@ class TestRetrieve:
         assert a == b
 
 
+def context_between(kb, start, destination):
+    return assemble_context(kb, shortest_route(kb.graph, start, destination))
+
+
 class TestAssembleContext:
     def test_cuisine_to_repas_includes_door_d3(self, golden_kb):
-        ctx = assemble_context(golden_kb, "Cuisine", "Repas")
+        ctx = context_between(golden_kb, "Cuisine", "Repas")
         assert ctx.path == ("Cuisine", "Repas")
         assert any("Door_D3" in d.body for d in ctx.transition_docs)
         assert any(door_id == "Door_D3" for door_id, _ in ctx.door_notes)
 
     def test_same_room_has_no_transitions(self, golden_kb):
-        ctx = assemble_context(golden_kb, "Repas", "Repas")
+        ctx = context_between(golden_kb, "Repas", "Repas")
         assert ctx.path == ("Repas",)
         assert ctx.transition_docs == ()
 
     def test_transition_doc_count_equals_path_legs(self, golden_kb):
-        ctx = assemble_context(golden_kb, "Repas", "Sejour")
+        ctx = context_between(golden_kb, "Repas", "Sejour")
         assert len(ctx.path) == 4  # Repas -> Cuisine -> Hall -> Sejour
         assert len(ctx.transition_docs) == 3
 
-    def test_no_path_marker(self, golden_graph, golden_dets):
-        lonely = RoomNode(name="Island", centroid=(9000, 9000))
-        bridge = RoomNode(name="Isle2", centroid=(9100, 9000))
-        nodes = golden_graph.nodes + (lonely, bridge)
-        edges = golden_graph.edges + (GraphEdge(from_room="Island", to_room="Isle2"),)
-        g = FloorGraph(nodes=nodes, edges=edges,
-                       adjacency=rebuild_adjacency(nodes, edges))
-        kb = build_knowledge_base(g, golden_dets, "golden")
-        ctx = assemble_context(kb, "Cuisine", "Island")
-        assert ctx.no_path
-        assert "NO ROUTE" in ctx.as_prompt_block()
-
     def test_only_path_transitions_included(self, golden_kb):
-        ctx = assemble_context(golden_kb, "Cuisine", "Hall")
+        ctx = context_between(golden_kb, "Cuisine", "Hall")
         ids = {d.doc_id for d in ctx.transition_docs}
         assert ids == {"transition:Cuisine->Hall"}
+
+    def test_door_note_names_the_door_the_template_plan_crosses(self):
+        # a passage listed before a door between the same two rooms
+        nodes = [RoomNode(name="A", centroid=(0.0, 100.0)),
+                 RoomNode(name="B", centroid=(400.0, 100.0))]
+        bbox = (190.0, 90.0, 210.0, 110.0)
+        edges = [GraphEdge(from_room="A", to_room="B"),
+                 GraphEdge(from_room="A", to_room="B", via="Door_D1", door_bbox=bbox)]
+        door = Detection(class_name="door", confidence=0.9, bbox=bbox, center=(200.0, 100.0))
+        kb = build_knowledge_base(FloorGraph(nodes=nodes, edges=edges),
+                                  DetectionSet(image_ref="x", detections=(door,)), "x")
+        plan = plan_route(kb, "A", "B", 60.0)
+        assert plan.steps[0].confirmation == "Pass through Door_D1 into B"
+        ctx = assemble_context(kb, plan.route)
+        assert [door_id for door_id, _ in ctx.door_notes] == ["Door_D1"]
 
 
 class TestPersistence:

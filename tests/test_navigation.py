@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import make_gateway, valid_planner_response
-from floornav.graph import FloorGraph, GraphEdge, RoomNode, rebuild_adjacency
+from floornav.graph import FloorGraph, GraphEdge, RoomNode, rebuild_adjacency, shortest_route
 from floornav.ingest import Detection, DetectionSet
 from floornav.kb import build_knowledge_base
 from floornav.navigation import (
@@ -122,7 +122,7 @@ class TestTemplatePlanner:
                  GraphEdge(from_room="C", to_room="D")]
         g = FloorGraph(nodes=nodes, edges=edges,
                        adjacency=rebuild_adjacency(nodes, edges))
-        steps = template_steps(g, ["A", "B", "C", "D"], 60.0)
+        steps = template_steps(g, shortest_route(g, "A", "D"), 60.0)
         turns = [s for s in steps if s.action.startswith("Turn")]
         assert len(turns) == 1
         assert turns[0].action == "Turn right"  # east to south is a right turn
@@ -151,12 +151,9 @@ class TestTemplatePlanner:
                      for i in range(1, n)]
             g = FloorGraph(nodes=nodes, edges=edges,
                            adjacency=rebuild_adjacency(nodes, edges))
-            from floornav.graph import bfs_shortest_path
-
-            s, d = rng.choice(names), rng.choice(names)
-            path = bfs_shortest_path(g, s, d)
-            steps = template_steps(g, path, 60.0)
-            assert validate_steps(steps, path, g) == []
+            route = shortest_route(g, rng.choice(names), rng.choice(names))
+            steps = template_steps(g, route, 60.0)
+            assert validate_steps(steps, route.path, g) == []
 
 
 class TestValidateSteps:
@@ -220,7 +217,7 @@ class TestSafetyEvaluate:
     def test_80cm_door_is_severity_4_narrow_passage(self):
         kb = two_room_kb(door_px=40.0)  # 40 px * 2 cm/px = 80 cm
         plan = plan_route(kb, "A", "B", 60.0)
-        hazards = safety_evaluate(kb.graph, plan.path, plan.steps,
+        hazards = safety_evaluate(kb.graph, plan.route, plan.steps,
                                   kb.visual.detections, scale_cm_per_px=2.0)
         narrow = [h for h in hazards if h.hazard_type == "narrow_passage"]
         assert len(narrow) == 1
@@ -231,14 +228,14 @@ class TestSafetyEvaluate:
     def test_100cm_door_yields_no_hazards(self):
         kb = two_room_kb(door_px=50.0)  # 100 cm
         plan = plan_route(kb, "A", "B", 60.0)
-        hazards = safety_evaluate(kb.graph, plan.path, plan.steps,
+        hazards = safety_evaluate(kb.graph, plan.route, plan.steps,
                                   kb.visual.detections, scale_cm_per_px=2.0)
         assert hazards == []
 
     def test_without_scale_the_clearance_rule_is_skipped(self):
         kb = two_room_kb(door_px=40.0)
         plan = plan_route(kb, "A", "B", 60.0)
-        hazards = safety_evaluate(kb.graph, plan.path, plan.steps,
+        hazards = safety_evaluate(kb.graph, plan.route, plan.steps,
                                   kb.visual.detections, scale_cm_per_px=None)
         assert [h for h in hazards if h.hazard_type == "narrow_passage"] == []
 
@@ -247,7 +244,7 @@ class TestSafetyEvaluate:
         plan = plan_route(kb, "P0", "P7", 60.0)
         assert len([s for s in plan.steps
                     if s.action.startswith("Move")]) == 7
-        hazards = safety_evaluate(kb.graph, plan.path, plan.steps,
+        hazards = safety_evaluate(kb.graph, plan.route, plan.steps,
                                   kb.visual.detections)
         assert any(h.hazard_type == "long_traversal" and h.severity == 2
                    for h in hazards)
@@ -255,7 +252,7 @@ class TestSafetyEvaluate:
     def test_door_rich_route_has_no_long_traversal(self):
         kb = line_building(["A", "B", "C", "D", "E", "F", "G", "H"])
         plan = plan_route(kb, "A", "H", 60.0)
-        hazards = safety_evaluate(kb.graph, plan.path, plan.steps,
+        hazards = safety_evaluate(kb.graph, plan.route, plan.steps,
                                   kb.visual.detections, scale_cm_per_px=2.0)
         assert [h for h in hazards if h.hazard_type == "long_traversal"] == []
 
@@ -271,7 +268,7 @@ class TestSafetyEvaluate:
                             labels=(("A", (0.0, 100.0)), ("B", (400.0, 100.0))))
         kb = build_knowledge_base(g, dets, "x")
         plan = plan_route(kb, "A", "B", 60.0)
-        hazards = safety_evaluate(g, plan.path, plan.steps, dets)
+        hazards = safety_evaluate(g, plan.route, plan.steps, dets)
         kinds = {h.hazard_type for h in hazards}
         assert "missing_door_edge" in kinds
 
@@ -285,7 +282,8 @@ class TestSafetyEvaluate:
                  NavStep(step=3, action="Stop", heading_after_step="S",
                          sensory_feedback="", current_position="Repas",
                          confirmation="Arrived")]
-        hazards = safety_evaluate(golden_kb.graph, ("Cuisine", "Repas"), steps,
+        hazards = safety_evaluate(golden_kb.graph,
+                                  shortest_route(golden_kb.graph, "Cuisine", "Repas"), steps,
                                   golden_kb.visual.detections)
         assert any(h.hazard_type == "wall_collision" and h.severity == 5
                    for h in hazards)
@@ -302,7 +300,7 @@ class TestSafetyEvaluate:
                  NavStep(step=3, action="Stop", heading_after_step="E",
                          sensory_feedback="", current_position="B",
                          confirmation="Arrived")]
-        hazards = safety_evaluate(kb.graph, ("A", "B"), steps,
+        hazards = safety_evaluate(kb.graph, shortest_route(kb.graph, "A", "B"), steps,
                                   kb.visual.detections)
         assert any(h.hazard_type == "dead_end" and h.severity == 4 for h in hazards)
 
@@ -313,7 +311,7 @@ class TestSafetyEvaluate:
 
         def narrow_locations(scale):
             return {h.location.split(" (")[0] for h in safety_evaluate(
-                kb.graph, plan.path, plan.steps, kb.visual.detections,
+                kb.graph, plan.route, plan.steps, kb.visual.detections,
                 scale_cm_per_px=scale)
                 if h.hazard_type == "narrow_passage"}
 
@@ -327,9 +325,9 @@ class TestSafetyEvaluate:
     def test_deterministic(self):
         kb = two_room_kb(door_px=40.0)
         plan = plan_route(kb, "A", "B", 60.0)
-        first = safety_evaluate(kb.graph, plan.path, plan.steps,
+        first = safety_evaluate(kb.graph, plan.route, plan.steps,
                                 kb.visual.detections, 2.0)
-        second = safety_evaluate(kb.graph, plan.path, plan.steps,
+        second = safety_evaluate(kb.graph, plan.route, plan.steps,
                                  kb.visual.detections, 2.0)
         assert first == second
 
