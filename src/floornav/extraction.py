@@ -327,19 +327,18 @@ def critic_check(
         issues.append(f"graph has {len(components)} disconnected components: {listing}")
         fixes.append("add the door or passage edges that join the separated components")
 
-    door_edges = [e for e in g.edges if e.is_door]
     for det in dets.doors():
-        citing = [e for e in door_edges if e.door_bbox == det.bbox]
-        if len(citing) != 1:
+        citing = g.door_citations.get(det.bbox, 0)
+        if citing != 1:
             failed.add(CHECK_DOOR_EDGES)
             issues.append(
                 f"door detection at bbox {[f'{v:g}' for v in det.bbox]} maps to "
-                f"{len(citing)} edges (expected exactly 1)"
+                f"{citing} edges (expected exactly 1)"
             )
             fixes.append("associate each detected door with exactly one room-to-room edge")
     det_bboxes = {d.bbox for d in dets.doors()}
-    for e in door_edges:
-        if e.door_bbox is None or e.door_bbox not in det_bboxes:
+    for e in g.edges:
+        if e.is_door and (e.door_bbox is None or e.door_bbox not in det_bboxes):
             failed.add(CHECK_DOOR_EDGES)
             issues.append(
                 f"door edge {e.from_room!r}-{e.to_room!r} ({e.via}) cites no detection"

@@ -218,6 +218,11 @@ class MockProvider:
         if not index_path.exists():
             raise FileNotFoundError(f"no mock fixture index at {index_path}")
         index = json.loads(index_path.read_text(encoding="utf-8"))
+        if not isinstance(index, dict):
+            raise ValueError(f"{index_path} must hold a JSON object")
+        for section in ("fixtures", "scripts"):
+            if not isinstance(index.get(section, {}), dict):
+                raise ValueError(f"{index_path}: {section} must be a JSON object")
         provider = cls()
         for key, fname in index.get("fixtures", {}).items():
             provider.add_fixture(key, (root / fname).read_text(encoding="utf-8"))

@@ -1,17 +1,20 @@
 """Spatial knowledge graph: room nodes, door/passage edges, boolean adjacency.
 
-The edge list is the graph. The symmetric {0,1} adjacency matrix with zero
-diagonal is derived from it; a matrix that enters from outside, such as a
-parser reply or a graph document, is checked against the matrix rules and,
-when it reaches a FloorGraph, against the derived matrix.
+The edge list is the graph. FloorGraph indexes it once, at construction, and
+every query reads that index. The symmetric {0,1} adjacency matrix with zero
+diagonal is derived from the same index; a matrix that enters from outside,
+such as a parser reply or a graph document, is checked against the matrix
+rules and, when it reaches a FloorGraph, against the derived matrix.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -150,9 +153,6 @@ class GraphEdge:
     def endpoints(self) -> tuple[str, str]:
         return self.from_room, self.to_room
 
-    def pair_key(self) -> frozenset[str]:
-        return frozenset((name_key(self.from_room), name_key(self.to_room)))
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -172,10 +172,14 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class FloorGraph:
-    """Immutable nodes and edges; the adjacency matrix is derived from the edges.
+    """Immutable nodes and edges, indexed once; the adjacency matrix is derived from the edges.
 
-    A given `adjacency` must equal the derived matrix, or GraphError names the
-    first failing rule. Graphs compare by nodes and edges.
+    The index maps each room name to its node index, each linked node pair
+    (i, j) with i < j to the positions of its edges in edge-list order, each
+    node to the sorted tuple of its neighbours, and each cited door bbox to
+    the number of door edges citing it. Queries read the index, never the
+    matrix. A given `adjacency` must equal the derived matrix, or GraphError
+    names the first failing rule. Graphs compare by nodes and edges.
     """
 
     nodes: tuple[RoomNode, ...]
@@ -185,17 +189,26 @@ class FloorGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
-        keys = [name_key(n.name) for n in self.nodes]
-        if len(set(keys)) != len(keys):
+        index = {name_key(n.name): i for i, n in enumerate(self.nodes)}
+        if len(index) != len(self.nodes):
             raise GraphError("duplicate room names in graph")
-        derived = rebuild_adjacency(self.nodes, self.edges)
+        pairs = _edge_pairs(index, self.edges)
+        derived = _matrix(len(index), pairs)
         if self.adjacency is not None:
             problem = _first_matrix_problem(self.nodes, self.adjacency, derived)
             if problem:
                 raise GraphError(f"{problem[0]}: {problem[1]}")
         derived.setflags(write=False)
+        linked: list[list[int]] = [[] for _ in self.nodes]
+        for i, j in pairs:
+            linked[i].append(j)
+            linked[j].append(i)
         object.__setattr__(self, "adjacency", derived)
-        object.__setattr__(self, "_index", {k: i for i, k in enumerate(keys)})
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_neighbours", tuple(tuple(sorted(js)) for js in linked))
+        object.__setattr__(self, "_citations", Counter(
+            e.door_bbox for e in self.edges if e.is_door and e.door_bbox is not None))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -215,20 +228,62 @@ class FloorGraph:
     def has_room(self, name: str) -> bool:
         return name_key(name) in self._index
 
+    @property
+    def door_citations(self) -> Mapping[tuple[float, float, float, float], int]:
+        """Each door bbox that door edges cite, with the number of door edges citing it."""
+        return MappingProxyType(self._citations)
+
     def neighbors(self, name: str) -> list[str]:
         """Adjacent room names in ascending node-index order."""
-        i = self.index_of(name)
-        return [self.nodes[j].name for j in np.flatnonzero(self.adjacency[i])]
+        return [self.nodes[j].name for j in self._neighbours[self.index_of(name)]]
 
     def degree(self, name: str) -> int:
-        return int(self.adjacency[self.index_of(name)].sum())
+        """The number of distinct rooms adjacent to `name`."""
+        return len(self._neighbours[self.index_of(name)])
 
     def adjacent(self, a: str, b: str) -> bool:
-        return bool(self.adjacency[self.index_of(a), self.index_of(b)])
+        i, j = self.index_of(a), self.index_of(b)
+        return (min(i, j), max(i, j)) in self._pairs
 
     def edges_between(self, a: str, b: str) -> tuple[GraphEdge, ...]:
-        key = frozenset((name_key(a), name_key(b)))
-        return tuple(e for e in self.edges if e.pair_key() == key)
+        """Every edge joining rooms a and b, in edge-list order.
+
+        Empty when either name is unknown or both name one room.
+        """
+        i, j = (self._index.get(name_key(n), -1) for n in (a, b))
+        return tuple(self.edges[k] for k in self._pairs.get((min(i, j), max(i, j)), ()))
+
+    def doors_of(self, name: str) -> tuple[GraphEdge, ...]:
+        """The door edges at room `name`, by door number, ties in edge-list order."""
+        i = self.index_of(name)
+        found = [k for j in self._neighbours[i] for k in self._pairs[(min(i, j), max(i, j))]
+                 if self.edges[k].is_door]
+        found.sort(key=lambda k: (int(self.edges[k].via.rsplit("D", 1)[1]), k))
+        return tuple(self.edges[k] for k in found)
+
+
+def _edge_pairs(index: dict[str, int],
+                edges: tuple[GraphEdge, ...] | list[GraphEdge]) -> dict[tuple[int, int], list[int]]:
+    """Node pair (i, j), i < j, -> the positions of the edges joining it, in edge-list order."""
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for k, e in enumerate(edges):
+        i, j = index.get(name_key(e.from_room)), index.get(name_key(e.to_room))
+        if i is None or j is None:
+            endpoint = e.from_room if i is None else e.to_room
+            raise UnknownRoomError(
+                f"edge {e.from_room!r}-{e.to_room!r} references unknown room {endpoint!r}"
+            )
+        pairs.setdefault((i, j) if i < j else (j, i), []).append(k)
+    return pairs
+
+
+def _matrix(n: int, pairs) -> np.ndarray:
+    # one byte per cell: the matrix is only serialised and compared, and it is N x N
+    adj = np.zeros((n, n), dtype=np.int8)
+    if pairs:
+        rows, cols = zip(*pairs)
+        adj[rows, cols] = adj[cols, rows] = 1
+    return adj
 
 
 def rebuild_adjacency(nodes: list[RoomNode] | tuple[RoomNode, ...],
@@ -238,16 +293,7 @@ def rebuild_adjacency(nodes: list[RoomNode] | tuple[RoomNode, ...],
     Symmetric, zero-diagonal, idempotent; duplicate edges collapse to one bit.
     """
     index = {name_key(n.name): i for i, n in enumerate(nodes)}
-    adj = np.zeros((len(index), len(index)), dtype=int)
-    for e in edges:
-        for endpoint in e.endpoints():
-            if name_key(endpoint) not in index:
-                raise UnknownRoomError(
-                    f"edge {e.from_room!r}-{e.to_room!r} references unknown room {endpoint!r}"
-                )
-        i, j = index[name_key(e.from_room)], index[name_key(e.to_room)]
-        adj[i, j] = adj[j, i] = 1
-    return adj
+    return _matrix(len(index), _edge_pairs(index, edges))
 
 
 def matrix_violations(n: int, matrix) -> list[tuple[str, str]]:
@@ -297,14 +343,13 @@ def _first_matrix_problem(nodes, given, derived: np.ndarray) -> tuple[str, str] 
 
 def validate_graph(g: FloorGraph) -> ValidationReport:
     """Audit a graph against the rules its edges can break: every room needs an edge."""
-    in_edges = {k for e in g.edges for k in e.pair_key()}
     violations = tuple(
         Violation(
             RULE_MIN_DEGREE,
             f"room {node.name!r} appears in no edge (EVERY NODE MUST HAVE >= 1 EDGE)",
             node.name,
         )
-        for node in g.nodes if name_key(node.name) not in in_edges
+        for node, neighbours in zip(g.nodes, g._neighbours) if not neighbours
     )
     return ValidationReport(passed=not violations, violations=violations)
 
@@ -322,7 +367,7 @@ def bfs_shortest_path(g: FloorGraph, start: str, destination: str) -> list[str] 
     queue: deque[int] = deque([si])
     while queue:
         cur = queue.popleft()
-        for nxt in (int(j) for j in np.flatnonzero(g.adjacency[cur])):
+        for nxt in g._neighbours[cur]:
             if nxt in parent:
                 continue
             parent[nxt] = cur
@@ -369,7 +414,7 @@ def connected_components(g: FloorGraph) -> list[set[str]]:
         queue = deque([root])
         while queue:
             cur = queue.popleft()
-            for nxt in (int(j) for j in np.flatnonzero(g.adjacency[cur])):
+            for nxt in g._neighbours[cur]:
                 if nxt not in comp:
                     comp.add(nxt)
                     queue.append(nxt)
@@ -384,7 +429,7 @@ def graph_to_payload(g: FloorGraph) -> dict:
     """Serialize to the parser-schema document (nodes_elements/adjacency_matrix/edges/rooms_info)."""
     nodes_elements = []
     rooms_info = []
-    for node in g.nodes:
+    for node, neighbours in zip(g.nodes, g._neighbours):
         entry: dict = {"name": node.name, "kind": node.kind,
                        "centroid": [node.centroid[0], node.centroid[1]]}
         if node.ocr_confidence is not None:
@@ -393,12 +438,8 @@ def graph_to_payload(g: FloorGraph) -> dict:
             entry["synthetic_centroid"] = True
         nodes_elements.append(entry)
 
-        doors = sorted(
-            (e.via for e in g.edges if e.is_door and name_key(node.name) in e.pair_key()),
-            key=lambda d: int(d.rsplit("D", 1)[1]),
-        )
-        info: dict = {"name": node.name, "doors": doors,
-                      "connected_rooms": g.neighbors(node.name)}
+        info: dict = {"name": node.name, "doors": [e.via for e in g.doors_of(node.name)],
+                      "connected_rooms": [g.nodes[j].name for j in neighbours]}
         size = format_size(node.size_m2, node.dimensions)
         if size:
             info["size"] = size

@@ -217,12 +217,6 @@ def build_semantic_docs(g: FloorGraph, dets: DetectionSet) -> list[SemanticDoc]:
         side = _CARDINAL_WORD[cardinal_between(nearest.centroid, det.center)]
         window_sides.setdefault(name_key(nearest.name), []).append(f"{side} wall")
 
-    doors_of: dict[str, list[GraphEdge]] = {}
-    for edge in g.edges:
-        if edge.is_door:
-            for key in edge.pair_key():
-                doors_of.setdefault(key, []).append(edge)
-
     for node in g.nodes:
         lines = [f"Room: {node.name}"]
         size = format_size(node.size_m2, None)
@@ -232,8 +226,7 @@ def build_semantic_docs(g: FloorGraph, dets: DetectionSet) -> list[SemanticDoc]:
         if node.ocr_confidence is not None:
             lines.append(f"OCR confidence: {node.ocr_confidence:.2f}")
 
-        door_edges = sorted(doors_of.get(name_key(node.name), ()),
-                            key=lambda e: int(e.via.rsplit("D", 1)[1]))
+        door_edges = g.doors_of(node.name)
         if door_edges:
             entries = "; ".join(
                 f"{e.via} to {e.to_room if name_key(e.from_room) == name_key(node.name) else e.from_room}"
@@ -380,10 +373,23 @@ class NavigationContext:
         return "\n".join(lines)
 
 
+def _transition_card_id(g: FloorGraph, edge: GraphEdge) -> str:
+    """The id build_semantic_docs gives `edge`'s transition card.
+
+    The n-th edge from one room to another in edge-list order gets the suffix
+    `#n` from the second one on.
+    """
+    same_way = [e for e in g.edges_between(edge.from_room, edge.to_room)
+                if (e.from_room, e.to_room) == (edge.from_room, edge.to_room)]
+    n = same_way.index(edge) + 1
+    doc_id = f"transition:{edge.from_room}->{edge.to_room}"
+    return doc_id if n == 1 else f"{doc_id}#{n}"
+
+
 def assemble_context(kb: KnowledgeBase, route: Route, k: int = 5) -> NavigationContext:
     """Bundle a route with the transition card and door note of each leg, and retrieval hits."""
     docs_by_id = {d.doc_id: d for d in kb.docs}
-    cards = (docs_by_id.get(f"transition:{e.from_room}->{e.to_room}") for e in route.legs)
+    cards = (docs_by_id.get(_transition_card_id(kb.graph, e)) for e in route.legs)
     notes = dict(kb.visual.element_notes)
     query = f"navigate from {route.path[0]} to {route.path[-1]}"
     return NavigationContext(
@@ -467,14 +473,19 @@ def load(directory: str | Path) -> KnowledgeBase:
     if not manifest_path.exists():
         raise MissingStoreError(f"no knowledge base at {root}")
 
-    def read(name: str):
+    def read(name: str, shape: type = dict):
         path = root / name
         if not path.exists():
             raise CorruptStoreError(f"missing store file {name}")
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            payload = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise CorruptStoreError(f"corrupted store file {name}: {exc}") from exc
+        if not isinstance(payload, shape):
+            raise CorruptStoreError(
+                f"{name} must hold a JSON {'object' if shape is dict else 'array'}, "
+                f"got {type(payload).__name__}")
+        return payload
 
     manifest = read(_MANIFEST)
     version = manifest.get("schema_version")
@@ -492,7 +503,7 @@ def load(directory: str | Path) -> KnowledgeBase:
         docs = tuple(
             SemanticDoc(doc_id=d["doc_id"], kind=d["kind"], body=d["body"],
                         source_refs=tuple(d.get("source_refs", [])))
-            for d in read("docs.json")
+            for d in read("docs.json", list)
         )
         _check_docs(graph, docs)
         dimension = read("vectors.json")["dimension"]
@@ -506,6 +517,12 @@ def load(directory: str | Path) -> KnowledgeBase:
         if not isinstance(rejected, list) or not all(isinstance(r, str) for r in rejected):
             raise CorruptStoreError(
                 f"visual.json: rejected must be an array of strings, got {rejected!r}")
+        labels = []
+        for name, pos in visual_payload.get("labels", []):
+            if not isinstance(pos, list) or len(pos) != 2:
+                raise CorruptStoreError(
+                    f"visual.json: label {name!r} position must be two numbers, got {pos!r}")
+            labels.append((name, (float(pos[0]), float(pos[1]))))
         dets = DetectionSet(
             image_ref=visual_payload.get("image_ref", ""),
             detections=tuple(
@@ -514,10 +531,7 @@ def load(directory: str | Path) -> KnowledgeBase:
                           center=tuple(float(v) for v in d["center"]))
                 for d in visual_payload.get("detections", [])
             ),
-            labels=tuple(
-                (name, (float(pos[0]), float(pos[1])))
-                for name, pos in visual_payload.get("labels", [])
-            ),
+            labels=tuple(labels),
             rejected=tuple(rejected),
         )
         return KnowledgeBase(

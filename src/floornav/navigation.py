@@ -325,7 +325,7 @@ def safety_evaluate(
                     f"(clearance {clearance:g} cm < {MIN_DOOR_CLEARANCE_CM:g} cm)",
                 ))
 
-    cited = {e.door_bbox for e in g.edges if e.is_door and e.door_bbox is not None}
+    cited = g.door_citations
     for a, b, edge in leg_edges:
         if edge.is_door:
             continue

@@ -99,6 +99,57 @@ def neighbors_from_edges(nodes, edges, name: str) -> list[str]:
     return [n.name for n in nodes if _room_key(n.name) in linked]
 
 
+def graph_payload_scan(nodes, edges) -> dict:
+    """graph_to_payload's document, by a full edge-list scan for every room and every cell.
+
+    A room's door ids are sorted by door number, ties in edge-list order; its
+    connected rooms are in node order.
+    """
+    keys = [_room_key(n.name) for n in nodes]
+
+    def ends(e) -> set[str]:
+        return {_room_key(e.from_room), _room_key(e.to_room)}
+
+    def linked(a: str, b: str) -> bool:
+        return a != b and any(ends(e) == {a, b} for e in edges)
+
+    nodes_elements, rooms_info = [], []
+    for node, key in zip(nodes, keys):
+        entry = {"name": node.name, "kind": node.kind, "centroid": list(node.centroid)}
+        if node.ocr_confidence is not None:
+            entry["ocr_confidence"] = node.ocr_confidence
+        if node.synthetic_centroid:
+            entry["synthetic_centroid"] = True
+        nodes_elements.append(entry)
+        doors = [e.via for e in edges if e.via != "passage" and key in ends(e)]
+        ranked = sorted(range(len(doors)), key=lambda k: (int(doors[k][len("Door_D"):]), k))
+        info = {"name": node.name, "doors": [doors[k] for k in ranked],
+                "connected_rooms": [other.name for other, other_key in zip(nodes, keys)
+                                    if linked(key, other_key)]}
+        size = []
+        if node.size_m2 is not None:
+            size.append(f"{node.size_m2:g} m2")
+        if node.dimensions is not None:
+            dims = f"{node.dimensions[0]:g} m x {node.dimensions[1]:g} m"
+            size.append(f"({dims})" if size else dims)
+        if size:
+            info["size"] = " ".join(size)
+        rooms_info.append(info)
+    edge_records = []
+    for e in edges:
+        record = {"from": e.from_room, "to": e.to_room, "via": e.via}
+        if e.door_bbox is not None:
+            record["door_bbox"] = list(e.door_bbox)
+        edge_records.append(record)
+    return {
+        "approach": "",
+        "nodes_elements": nodes_elements,
+        "adjacency_matrix": [[int(linked(a, b)) for b in keys] for a in keys],
+        "edges": edge_records,
+        "rooms_info": rooms_info,
+    }
+
+
 def population_stats(values) -> tuple[float, float]:
     """(mean, population standard deviation) with plain arithmetic."""
     n = len(values)

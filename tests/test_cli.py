@@ -398,6 +398,11 @@ def error_env(tmp_path, nine_room_env, golden_files):
         payload["scale_cm_per_px"] = scale
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(payload))
+    for name, index in (("array_index_fixtures", "[]"),
+                        ("array_section_fixtures", '{"fixtures": []}')):
+        paths[name] = tmp_path / name
+        paths[name].mkdir()
+        (paths[name] / "index.json").write_text(index)
     garbage = MockProvider()
     garbage.script("parser", ["not json at all"])
     for name, provider in (("garbage_fixtures", garbage), ("empty_fixtures", MockProvider())):
@@ -459,6 +464,12 @@ ERROR_PATHS = {
     "extract-missing-fixture-dir": (
         EXTRACT + MOCK + ["{no_fixtures}"], EXIT_USAGE,
         "error: no mock fixture index at {no_fixtures}/index.json\n"),
+    "extract-array-fixture-index": (
+        EXTRACT + MOCK + ["{array_index_fixtures}"], EXIT_USAGE,
+        "error: {array_index_fixtures}/index.json must hold a JSON object\n"),
+    "navigate-array-fixture-section": (
+        NAVIGATE + MOCK + ["{array_section_fixtures}"], EXIT_USAGE,
+        "error: {array_section_fixtures}/index.json: fixtures must be a JSON object\n"),
     "extract-malformed-detections": (
         ["extract", "--detections", "{bad_dets}", "--out", "{out}"] + MOCK + ["{fixtures}"],
         EXIT_IO, "error: {bad_dets}: expected a top-level JSON array\n"),

@@ -164,6 +164,17 @@ class TestMockProvider:
             "graph_json": "{}", "edges_json": "[]", "safety_context": "",
             "start": "A", "destination": "B", "step_size": "60"}) == "p1"
 
+    @pytest.mark.parametrize("index, message", [
+        ([{"fixtures": {}}], "index.json must hold a JSON object"),
+        ({"fixtures": ["parser.txt"]}, "index.json: fixtures must be a JSON object"),
+        ({"fixtures": {}, "scripts": [["planner.txt"]]},
+         "index.json: scripts must be a JSON object"),
+    ], ids=["array-index", "array-fixtures", "array-scripts"])
+    def test_load_dir_rejects_a_malformed_index(self, tmp_path, index, message):
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        with pytest.raises(ValueError, match=message):
+            MockProvider.load_dir(tmp_path)
+
 
 class TestHttpProvider:
     def test_missing_api_key_is_auth_error(self, monkeypatch):

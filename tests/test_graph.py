@@ -322,12 +322,32 @@ def test_property_queries_agree_with_edge_list_oracles(rng):
     for a in g.names():
         neighbours = oracles.neighbors_from_edges(g.nodes, g.edges, a)
         assert g.neighbors(a) == neighbours
-        assert g.degree(a) == len(neighbours)
+        assert g.degree(a) == len(neighbours) == g.degree(f" {a.upper()} ")
+        assert g.edges_between(a, a) == g.edges_between(a, f" {a.lower()} ") == ()
+        assert g.edges_between(a, "Attic") == g.edges_between("Attic", a) == ()
+        assert not g.adjacent(a, a.upper())
+        with pytest.raises(UnknownRoomError):
+            g.adjacent(a, "Attic")
         for b in g.names():
             expected = oracles.edges_between_scan(g.edges, a, b)
             assert g.edges_between(a, b) == expected
             assert g.edges_between(f" {b.lower()} ", a.upper()) == expected
-            assert g.adjacent(a, b) == bool(expected)
+            assert g.adjacent(a, b) == g.adjacent(b.upper(), a) == bool(expected)
+    assert g.edges_between("Attic", "Attic") == ()
+    with pytest.raises(UnknownRoomError):
+        g.degree("Attic")
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_property_payload_matches_edge_list_oracle(rng):
+    g = random_multigraph(rng)
+    assert graph_to_payload(g) == oracles.graph_payload_scan(g.nodes, g.edges)
+
+
+def test_golden_payload_matches_edge_list_oracle(golden_graph):
+    assert graph_to_payload(golden_graph) == oracles.graph_payload_scan(
+        golden_graph.nodes, golden_graph.edges)
 
 
 @given(st.randoms(use_true_random=False))

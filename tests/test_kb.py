@@ -17,6 +17,7 @@ from floornav.graph import (
     GraphEdge,
     GraphError,
     RoomNode,
+    Route,
     rebuild_adjacency,
     shortest_route,
 )
@@ -233,20 +234,33 @@ class TestAssembleContext:
         ids = {d.doc_id for d in ctx.transition_docs}
         assert ids == {"transition:Cuisine->Hall"}
 
-    def test_door_note_names_the_door_the_template_plan_crosses(self):
-        # a passage listed before a door between the same two rooms
+    @staticmethod
+    def passage_then_door_kb():
+        """Rooms A and B joined by a passage, then by Door_D1, both listed A -> B."""
         nodes = [RoomNode(name="A", centroid=(0.0, 100.0)),
                  RoomNode(name="B", centroid=(400.0, 100.0))]
         bbox = (190.0, 90.0, 210.0, 110.0)
         edges = [GraphEdge(from_room="A", to_room="B"),
                  GraphEdge(from_room="A", to_room="B", via="Door_D1", door_bbox=bbox)]
         door = Detection(class_name="door", confidence=0.9, bbox=bbox, center=(200.0, 100.0))
-        kb = build_knowledge_base(FloorGraph(nodes=nodes, edges=edges),
-                                  DetectionSet(image_ref="x", detections=(door,)), "x")
+        return build_knowledge_base(FloorGraph(nodes=nodes, edges=edges),
+                                    DetectionSet(image_ref="x", detections=(door,)), "x")
+
+    def test_door_note_names_the_door_the_template_plan_crosses(self):
+        kb = self.passage_then_door_kb()
         plan = plan_route(kb, "A", "B", 60.0)
         assert plan.steps[0].confirmation == "Pass through Door_D1 into B"
         ctx = assemble_context(kb, plan.route)
         assert [door_id for door_id, _ in ctx.door_notes] == ["Door_D1"]
+
+    def test_transition_card_is_the_door_the_template_plan_crosses(self):
+        kb = self.passage_then_door_kb()
+        ctx = assemble_context(kb, plan_route(kb, "A", "B", 60.0).route)
+        assert [d.doc_id for d in ctx.transition_docs] == ["transition:A->B#2"]
+        assert "Via: door | Door ID: Door_D1" in ctx.transition_docs[0].body
+        passage = GraphEdge(from_room="A", to_room="B")
+        ctx = assemble_context(kb, Route(path=("A", "B"), legs=(passage,)))
+        assert [d.doc_id for d in ctx.transition_docs] == ["transition:A->B"]
 
 
 class TestPersistence:
@@ -397,6 +411,20 @@ def _non_string_rejected(store: Path, rng: random.Random) -> None:
           lambda visual: visual.update(rejected=rng.choice([5, "record 1", [1], {"a": 1}])))
 
 
+def _array_manifest(store: Path, rng: random.Random) -> None:
+    (store / "manifest.json").write_text(json.dumps([2, f"b{rng.randrange(100)}"]))
+
+
+def _array_visual(store: Path, rng: random.Random) -> None:
+    visual = json.loads((store / "visual.json").read_text())
+    (store / "visual.json").write_text(json.dumps(rng.choice([[visual], "visual", 2])))
+
+
+def _one_number_label_position(store: Path, rng: random.Random) -> None:
+    _edit(store / "visual.json",
+          lambda visual: rng.choice(visual["labels"])[1].pop())
+
+
 def _v1_manifest(store: Path, rng: random.Random) -> None:
     _edit(store / "manifest.json",
           lambda manifest: manifest.update(schema_version=1, dimension=256))
@@ -413,6 +441,12 @@ TAMPERS = {
     "non-string-rejected": (_non_string_rejected, CorruptStoreError,
                             "rejected must be an array of strings"),
     "v1-manifest": (_v1_manifest, StoreVersionError, "store has 1, expected 2"),
+    "array-manifest": (_array_manifest, CorruptStoreError,
+                       "manifest.json must hold a JSON object, got list"),
+    "non-object-visual": (_array_visual, CorruptStoreError,
+                          "visual.json must hold a JSON object, got "),
+    "one-number-label-position": (_one_number_label_position, CorruptStoreError,
+                                  r"visual.json: label '.+' position must be two numbers"),
 }
 
 
