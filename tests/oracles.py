@@ -2,7 +2,8 @@
 
 Each function here uses a different algorithm than the library path it checks
 (full-matrix DP vs two-row DP, exhaustive path enumeration vs BFS, boolean
-matrix powering vs BFS sweep, plain-Python statistics vs the library's).
+matrix powering vs BFS sweep, every-pair scoring vs bounded label matching,
+plain-Python statistics vs the library's).
 """
 
 from __future__ import annotations
@@ -34,6 +35,20 @@ def ratio_oracle(a: str, b: str) -> float:
     if not a and not b:
         return 1.0
     return 1.0 - edit_distance_matrix(a, b) / max(len(a), len(b))
+
+
+def match_labels_bruteforce(tokens, known, threshold: float) -> list:
+    """Score every (token, roster entry) pair; ties go to the earlier entry."""
+    matched = []
+    for token in tokens:
+        best_name, best_ratio = None, -1.0
+        for candidate in known:
+            ratio = ratio_oracle(token.text, candidate)
+            if ratio > best_ratio:
+                best_name, best_ratio = candidate, ratio
+        if best_name is not None and best_ratio >= threshold:
+            matched.append((best_name, token.position))
+    return matched
 
 
 def min_hops_exhaustive(adjacency, start: int, destination: int) -> int | None:

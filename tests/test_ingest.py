@@ -21,6 +21,29 @@ from floornav.ingest import (
 )
 
 
+# Few letters, so exact ties and near-ties are common; "ß" casefolds to "ss",
+# which changes a string's length.
+_LABEL_TEXT = st.text(alphabet="abABßs", min_size=1, max_size=6)
+
+
+@st.composite
+def _tokens_and_roster(draw):
+    """Tokens and a roster with case variants, duplicate casefold keys and exact ties,
+    plus thresholds equal to a ratio some (token, roster entry) pair reaches."""
+    known = draw(st.lists(_LABEL_TEXT, max_size=8))
+    texts = draw(st.lists(_LABEL_TEXT, min_size=1, max_size=5))
+    at_threshold = []
+    if known:
+        for name in draw(st.lists(st.sampled_from(known), max_size=3)):
+            variant = draw(st.sampled_from([name.upper(), name.lower(), name.swapcase(),
+                                            name.replace("ß", "ss"), name.replace("ss", "ß")]))
+            known.insert(draw(st.integers(0, len(known))), variant)
+        texts += draw(st.lists(st.sampled_from(known).map(str.swapcase), max_size=3))
+        at_threshold = [oracles.ratio_oracle(draw(st.sampled_from(texts)), name)
+                        for name in draw(st.lists(st.sampled_from(known), max_size=2))]
+    tokens = [OcrToken(text=text, position=(i, 0)) for i, text in enumerate(texts)]
+    return tokens, known, at_threshold
+
 
 class TestDetectionTypes:
     def test_center_must_lie_inside_bbox(self):
@@ -164,6 +187,14 @@ class TestMatchLabels:
         for name, _ in match_labels(rng_tokens, known):
             best = max(levenshtein_ratio(t.text, name) for t in rng_tokens)
             assert best >= 0.55
+
+    @given(_tokens_and_roster())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_bruteforce_oracle(self, case):
+        tokens, known, at_threshold = case
+        for threshold in (0.0, 0.3, 0.55, 0.6, *at_threshold):
+            assert (match_labels(tokens, known, threshold)
+                    == oracles.match_labels_bruteforce(tokens, known, threshold))
 
 
 class TestNumberDuplicates:
