@@ -225,8 +225,13 @@ class MockProvider:
                 raise ValueError(f"{index_path}: {section} must be a JSON object")
         provider = cls()
         for key, fname in index.get("fixtures", {}).items():
+            if not isinstance(fname, str):
+                raise ValueError(f"{index_path}: fixture {key!r} must name one file, got {fname!r}")
             provider.add_fixture(key, (root / fname).read_text(encoding="utf-8"))
         for tid, names in index.get("scripts", {}).items():
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValueError(f"{index_path}: scripts for template {tid!r} must be an array "
+                                 f"of file names, got {names!r}")
             provider.script(tid, [(root / n).read_text(encoding="utf-8") for n in names])
         return provider
 

@@ -179,6 +179,41 @@ def levenshtein_ratio(a: str, b: str) -> float:
     return 1.0 - levenshtein_distance(a, b) / max(len(a), len(b))
 
 
+def _ratio_bound(token: Counter, token_len: int, candidate: Counter, candidate_len: int) -> float:
+    """Upper bound on `levenshtein_ratio` from the bag distance.
+
+    The edit distance is at least `m - shared` (m the longer length, shared
+    the letters both strings hold, counted with multiplicity). The bound is
+    written in the ratio's own float form, so `ratio <= bound` holds after
+    rounding too; `shared / m` can round one ulp lower and lose an exact tie.
+    """
+    m = max(token_len, candidate_len)
+    shared = sum((token & candidate).values())
+    return 1.0 - (m - shared) / m
+
+
+def _best_candidate(text: str, known: list[str], folded: list[str],
+                    letters: list[Counter]) -> tuple[int | None, float]:
+    """Index and ratio of the best entry for a token with no exact hit, earliest on ties.
+
+    Candidates are scored in descending order of their bound, roster order
+    within equal bounds; the scan stops at the first bound that cannot beat
+    the best so far.
+    """
+    token_text = text.casefold()
+    token_letters = Counter(token_text)
+    bounds = [_ratio_bound(token_letters, len(token_text), cand, len(name))
+              for cand, name in zip(letters, folded)]
+    best_index, best_ratio = None, -1.0
+    for i in sorted(range(len(known)), key=bounds.__getitem__, reverse=True):  # stable
+        if bounds[i] < best_ratio or (bounds[i] == best_ratio and i > best_index):
+            break
+        ratio = levenshtein_ratio(text, known[i])
+        if ratio > best_ratio or (ratio == best_ratio and i < best_index):
+            best_index, best_ratio = i, ratio
+    return best_index, best_ratio
+
+
 def match_labels(
     tokens: list[OcrToken],
     known: list[str],
@@ -189,16 +224,24 @@ def match_labels(
     A token claims its highest-ratio label when the ratio is >= threshold
     (inclusive); ties go to the earlier entry in `known`. Tokens below the
     threshold are dropped with a log entry.
+
+    Ratio 1.0 means equal up to case, so a token with such a label takes the
+    first one without a DP; any other token scores only the candidates that a
+    shared-letter bound cannot rule out.
     """
+    folded = [name.casefold() for name in known]
+    exact: dict[str, int] = {}
+    for i, name in enumerate(folded):
+        exact.setdefault(name, i)
+    letters = [Counter(name) for name in folded]
     matched: list[tuple[str, tuple[float, float]]] = []
     for token in tokens:
-        best_name, best_ratio = None, -1.0
-        for candidate in known:
-            ratio = levenshtein_ratio(token.text, candidate)
-            if ratio > best_ratio:
-                best_name, best_ratio = candidate, ratio
-        if best_name is not None and best_ratio >= threshold:
-            matched.append((best_name, token.position))
+        if token.text.casefold() in exact:
+            best_index, best_ratio = exact[token.text.casefold()], 1.0
+        else:
+            best_index, best_ratio = _best_candidate(token.text, known, folded, letters)
+        if best_index is not None and best_ratio >= threshold:
+            matched.append((known[best_index], token.position))
         else:
             logger.info("unmatched OCR token %r (best ratio %.3f < %.2f)",
                         token.text, max(best_ratio, 0.0), threshold)

@@ -8,6 +8,7 @@ provider-backed embedders are a drop-in via the same `embed` interface.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -84,6 +85,7 @@ class HashEmbedder:
         self.dimension = dimension
 
     @staticmethod
+    @functools.lru_cache(maxsize=1 << 14)  # a building repeats few distinct tokens
     def bucket(token: str, dimension: int = DEFAULT_DIMENSION) -> int:
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % dimension
@@ -519,6 +521,9 @@ def load(directory: str | Path) -> KnowledgeBase:
                 f"visual.json: rejected must be an array of strings, got {rejected!r}")
         labels = []
         for name, pos in visual_payload.get("labels", []):
+            if not isinstance(name, str):
+                raise CorruptStoreError(
+                    f"visual.json: label name must be a string, got {name!r}")
             if not isinstance(pos, list) or len(pos) != 2:
                 raise CorruptStoreError(
                     f"visual.json: label {name!r} position must be two numbers, got {pos!r}")

@@ -169,7 +169,14 @@ class TestMockProvider:
         ({"fixtures": ["parser.txt"]}, "index.json: fixtures must be a JSON object"),
         ({"fixtures": {}, "scripts": [["planner.txt"]]},
          "index.json: scripts must be a JSON object"),
-    ], ids=["array-index", "array-fixtures", "array-scripts"])
+        ({"scripts": {"planner": "p.txt"}},
+         "index.json: scripts for template 'planner' must be an array of file names, got 'p.txt'"),
+        ({"scripts": {"planner": ["p.txt", 3]}},
+         "index.json: scripts for template 'planner' must be an array of file names"),
+        ({"fixtures": {"parser:abc": ["p.txt"]}},
+         r"index.json: fixture 'parser:abc' must name one file, got \['p.txt'\]"),
+    ], ids=["array-index", "array-fixtures", "array-scripts", "string-script",
+            "non-string-script-entry", "array-fixture-file"])
     def test_load_dir_rejects_a_malformed_index(self, tmp_path, index, message):
         (tmp_path / "index.json").write_text(json.dumps(index))
         with pytest.raises(ValueError, match=message):

@@ -192,7 +192,7 @@ class TestMatchLabels:
     @settings(max_examples=400, deadline=None)
     def test_matches_bruteforce_oracle(self, case):
         tokens, known, at_threshold = case
-        for threshold in (0.0, 0.3, 0.55, 0.6, *at_threshold):
+        for threshold in (0.0, 0.3, 0.55, 0.6, 1.0, 1.5, *at_threshold):
             assert (match_labels(tokens, known, threshold)
                     == oracles.match_labels_bruteforce(tokens, known, threshold))
 

@@ -425,6 +425,12 @@ def _one_number_label_position(store: Path, rng: random.Random) -> None:
           lambda visual: rng.choice(visual["labels"])[1].pop())
 
 
+def _non_string_label_name(store: Path, rng: random.Random) -> None:
+    def change(visual):
+        rng.choice(visual["labels"])[0] = rng.choice([5, None, ["Hall"], {"name": "Hall"}])
+    _edit(store / "visual.json", change)
+
+
 def _v1_manifest(store: Path, rng: random.Random) -> None:
     _edit(store / "manifest.json",
           lambda manifest: manifest.update(schema_version=1, dimension=256))
@@ -447,6 +453,8 @@ TAMPERS = {
                           "visual.json must hold a JSON object, got "),
     "one-number-label-position": (_one_number_label_position, CorruptStoreError,
                                   r"visual.json: label '.+' position must be two numbers"),
+    "non-string-label-name": (_non_string_label_name, CorruptStoreError,
+                              "visual.json: label name must be a string, got "),
 }
 
 
