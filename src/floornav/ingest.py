@@ -236,8 +236,9 @@ def match_labels(
     letters = [Counter(name) for name in folded]
     matched: list[tuple[str, tuple[float, float]]] = []
     for token in tokens:
-        if token.text.casefold() in exact:
-            best_index, best_ratio = exact[token.text.casefold()], 1.0
+        key = token.text.casefold()
+        if key in exact:
+            best_index, best_ratio = exact[key], 1.0
         else:
             best_index, best_ratio = _best_candidate(token.text, known, folded, letters)
         if best_index is not None and best_ratio >= threshold:
