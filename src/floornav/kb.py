@@ -14,7 +14,6 @@ import json
 import os
 import re
 import tempfile
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .graph import (
 from .ingest import Detection, DetectionSet
 from .ingest import detection_summary as summarize_detections
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_DIMENSION = 256
 MAX_DIMENSION = 1 << 16  # bounds the vectors `load` allocates from a store's dimension header
 
@@ -200,6 +199,11 @@ def build_semantic_docs(g: FloorGraph, dets: DetectionSet) -> list[SemanticDoc]:
     """One room card per node, one door card per door edge, one transition card per edge."""
     docs: list[SemanticDoc] = []
     used_ids: set[str] = set()
+    # once per spelling: an edge may spell a room name otherwise than its node does
+    key = functools.cache(name_key)
+    size_line = functools.cache(functools.partial(_size_line, g))
+    bbox_text = functools.cache(_fmt_bbox)  # a door's card and its transition card both show it
+    centroid = {n.name: n.centroid for n in g.nodes}
 
     def unique(doc_id: str) -> str:
         # double doors between one room pair would collide otherwise
@@ -217,9 +221,10 @@ def build_semantic_docs(g: FloorGraph, dets: DetectionSet) -> list[SemanticDoc]:
         nearest = min(g.nodes, key=lambda n: np.hypot(
             n.centroid[0] - det.center[0], n.centroid[1] - det.center[1]))
         side = _CARDINAL_WORD[cardinal_between(nearest.centroid, det.center)]
-        window_sides.setdefault(name_key(nearest.name), []).append(f"{side} wall")
+        window_sides.setdefault(key(nearest.name), []).append(f"{side} wall")
 
     for node in g.nodes:
+        node_key = key(node.name)
         lines = [f"Room: {node.name}"]
         size = format_size(node.size_m2, None)
         lines.append(f"Type: {node.kind} | Size: {size}" if size else f"Type: {node.kind}")
@@ -231,19 +236,19 @@ def build_semantic_docs(g: FloorGraph, dets: DetectionSet) -> list[SemanticDoc]:
         door_edges = g.doors_of(node.name)
         if door_edges:
             entries = "; ".join(
-                f"{e.via} to {e.to_room if name_key(e.from_room) == name_key(node.name) else e.from_room}"
+                f"{e.via} to {e.to_room if key(e.from_room) == node_key else e.from_room}"
                 for e in door_edges
             )
             lines.append(f"Doors ({len(door_edges)}): {entries}")
 
-        windows = window_sides.get(name_key(node.name))
+        windows = window_sides.get(node_key)
         if windows:
             lines.append(f"Windows ({len(windows)}): " + "; ".join(windows))
 
         neighbours = g.neighbors(node.name)
         if neighbours:
             entries = "; ".join(
-                f"{other} to {_CARDINAL_WORD[cardinal_between(node.centroid, g.node(other).centroid)]}"
+                f"{other} to {_CARDINAL_WORD[cardinal_between(node.centroid, centroid[other])]}"
                 for other in neighbours
             )
             lines.append(f"Connected rooms: {entries}")
@@ -258,7 +263,7 @@ def build_semantic_docs(g: FloorGraph, dets: DetectionSet) -> list[SemanticDoc]:
             continue
         lines = [f"Door: {edge.via}", f"Connects: {edge.from_room} <-> {edge.to_room}"]
         if edge.door_bbox is not None:
-            lines.append(f"Position (bbox): {_fmt_bbox(edge.door_bbox)}")
+            lines.append(f"Position (bbox): {bbox_text(edge.door_bbox)}")
             lines.append(f"Wall side: {_wall_side(g, edge)} wall of {edge.from_room}")
             lines.append("Door type: hinged single door")
         docs.append(SemanticDoc(
@@ -271,14 +276,11 @@ def build_semantic_docs(g: FloorGraph, dets: DetectionSet) -> list[SemanticDoc]:
         if edge.is_door:
             lines.append(f"Via: door | Door ID: {edge.via}")
             if edge.door_bbox is not None:
-                lines.append(f"Door position (bbox): {_fmt_bbox(edge.door_bbox)}")
+                lines.append(f"Door position (bbox): {bbox_text(edge.door_bbox)}")
             lines.append(f"Door description: {edge.via} to {edge.to_room}")
         else:
             lines.append("Via: passage")
-        for name in (edge.from_room, edge.to_room):
-            size_line = _size_line(g, name)
-            if size_line:
-                lines.append(size_line)
+        lines.extend(line for line in map(size_line, (edge.from_room, edge.to_room)) if line)
         docs.append(SemanticDoc(
             doc_id=unique(f"transition:{edge.from_room}->{edge.to_room}"),
             kind="transition", body="\n".join(lines),
@@ -407,7 +409,6 @@ def assemble_context(kb: KnowledgeBase, route: Route, k: int = 5) -> NavigationC
 # --- persistence (JSON store, atomic write-then-rename, byte-deterministic) ---
 
 _MANIFEST = "manifest.json"
-_FILES = ("graph.json", "docs.json", "vectors.json", "visual.json")
 
 
 def _write_atomic(path: Path, payload) -> None:
@@ -433,11 +434,6 @@ def persist(kb: KnowledgeBase, directory: str | Path) -> None:
     graph = graph_to_payload(kb.graph)
     del graph["adjacency_matrix"]
     _write_atomic(root / "graph.json", graph)
-    _write_atomic(root / "docs.json", [
-        {"doc_id": d.doc_id, "kind": d.kind, "body": d.body,
-         "source_refs": list(d.source_refs)}
-        for d in kb.docs
-    ])
     _write_atomic(root / "vectors.json", {"dimension": kb.index.dimension})
     dets = kb.visual.detections
     visual = {
@@ -454,28 +450,14 @@ def persist(kb: KnowledgeBase, directory: str | Path) -> None:
     _write_atomic(root / "visual.json", visual)
 
 
-def _check_docs(g: FloorGraph, docs: tuple[SemanticDoc, ...]) -> None:
-    """One room card per node, one door card per door edge, one transition card per edge."""
-    found = Counter(d.kind for d in docs)
-    needed = Counter(room=len(g.nodes), door=sum(e.is_door for e in g.edges),
-                     transition=len(g.edges))
-    if found != needed:
-        raise CorruptStoreError(
-            f"docs.json holds {dict(found)} cards, the graph needs {dict(needed)}")
-    for d in docs:
-        for ref in d.source_refs:
-            if not g.has_room(ref):
-                raise CorruptStoreError(f"doc {d.doc_id!r} refers to unknown room {ref!r}")
-
-
 def load(directory: str | Path) -> KnowledgeBase:
-    """Read the source facts and derive the adjacency matrix, the vectors and the door notes."""
+    """Read the source facts and derive the adjacency matrix, the cards, the vectors and the door notes."""
     root = Path(directory)
     manifest_path = root / _MANIFEST
     if not manifest_path.exists():
         raise MissingStoreError(f"no knowledge base at {root}")
 
-    def read(name: str, shape: type = dict):
+    def read(name: str):
         path = root / name
         if not path.exists():
             raise CorruptStoreError(f"missing store file {name}")
@@ -483,10 +465,9 @@ def load(directory: str | Path) -> KnowledgeBase:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise CorruptStoreError(f"corrupted store file {name}: {exc}") from exc
-        if not isinstance(payload, shape):
+        if not isinstance(payload, dict):
             raise CorruptStoreError(
-                f"{name} must hold a JSON {'object' if shape is dict else 'array'}, "
-                f"got {type(payload).__name__}")
+                f"{name} must hold a JSON object, got {type(payload).__name__}")
         return payload
 
     manifest = read(_MANIFEST)
@@ -502,31 +483,29 @@ def load(directory: str | Path) -> KnowledgeBase:
             raise CorruptStoreError("graph.json must not store an adjacency_matrix; "
                                     "it is derived from the edges")
         graph = graph_from_payload(graph_payload)
-        docs = tuple(
-            SemanticDoc(doc_id=d["doc_id"], kind=d["kind"], body=d["body"],
-                        source_refs=tuple(d.get("source_refs", [])))
-            for d in read("docs.json", list)
-        )
-        _check_docs(graph, docs)
         dimension = read("vectors.json")["dimension"]
         if type(dimension) is not int or not 0 < dimension <= MAX_DIMENSION:
             raise CorruptStoreError(
                 f"vectors.json: dimension must be an integer in 1..{MAX_DIMENSION}, "
                 f"got {dimension!r}")
-        embedder = HashEmbedder(dimension)
         visual_payload = read("visual.json")
         rejected = visual_payload.get("rejected", [])
         if not isinstance(rejected, list) or not all(isinstance(r, str) for r in rejected):
             raise CorruptStoreError(
                 f"visual.json: rejected must be an array of strings, got {rejected!r}")
         labels = []
-        for name, pos in visual_payload.get("labels", []):
+        for i, label in enumerate(visual_payload.get("labels", [])):
+            if not isinstance(label, list) or len(label) != 2:
+                raise CorruptStoreError(f"visual.json: label must be a [name, [x, y]] pair, "
+                                        f"got {label!r} (labels[{i}])")
+            name, pos = label
             if not isinstance(name, str):
                 raise CorruptStoreError(
-                    f"visual.json: label name must be a string, got {name!r}")
-            if not isinstance(pos, list) or len(pos) != 2:
-                raise CorruptStoreError(
-                    f"visual.json: label {name!r} position must be two numbers, got {pos!r}")
+                    f"visual.json: label name must be a string, got {name!r} (labels[{i}])")
+            if not isinstance(pos, list) or len(pos) != 2 or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in pos):
+                raise CorruptStoreError(f"visual.json: label {name!r} position must be two "
+                                        f"numbers, got {pos!r} (labels[{i}])")
             labels.append((name, (float(pos[0]), float(pos[1]))))
         dets = DetectionSet(
             image_ref=visual_payload.get("image_ref", ""),
@@ -539,13 +518,7 @@ def load(directory: str | Path) -> KnowledgeBase:
             labels=tuple(labels),
             rejected=tuple(rejected),
         )
-        return KnowledgeBase(
-            building_id=str(manifest.get("building_id", "")),
-            graph=graph,
-            docs=docs,
-            index=build_index(list(docs), embedder),
-            visual=build_visual_context(graph, dets),
-            embedder=embedder,
-        )
+        return build_knowledge_base(graph, dets, str(manifest.get("building_id", "")),
+                                    HashEmbedder(dimension))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptStoreError(f"malformed store content: {exc}") from exc

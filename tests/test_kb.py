@@ -307,15 +307,6 @@ class TestPersistence:
         with pytest.raises(CorruptStoreError, match="vectors.json"):
             load(tmp_path / "kb")
 
-    def test_broken_bijection_is_corrupt(self, golden_kb, tmp_path):
-        persist(golden_kb, tmp_path / "kb")
-        docs_path = tmp_path / "kb" / "docs.json"
-        docs = json.loads(docs_path.read_text())
-        docs.pop()
-        docs_path.write_text(json.dumps(docs))
-        with pytest.raises(CorruptStoreError):
-            load(tmp_path / "kb")
-
     def test_vectors_round_trip_bit_equal(self, golden_kb, tmp_path):
         persist(golden_kb, tmp_path / "kb")
         loaded = load(tmp_path / "kb")
@@ -327,6 +318,8 @@ class TestPersistence:
     def test_store_holds_only_source_facts(self, golden_kb, tmp_path):
         persist(golden_kb, tmp_path / "kb")
         store = {p.name: json.loads(p.read_text()) for p in (tmp_path / "kb").iterdir()}
+        assert "docs.json" not in store
+        assert set(store) == {"manifest.json", "graph.json", "vectors.json", "visual.json"}
         assert "adjacency_matrix" not in store["graph.json"]
         assert store["vectors.json"] == {"dimension": golden_kb.index.dimension}
         assert "element_notes" not in store["visual.json"]
@@ -335,6 +328,37 @@ class TestPersistence:
         loaded = load(tmp_path / "kb")
         assert np.array_equal(loaded.graph.adjacency, golden_kb.graph.adjacency)
         assert loaded.visual.element_notes == golden_kb.visual.element_notes
+
+    def test_loaded_cards_are_derived_from_the_loaded_graph_and_detections(self, golden_kb,
+                                                                            tmp_path):
+        persist(golden_kb, tmp_path / "kb")
+        loaded = load(tmp_path / "kb")
+        assert loaded.docs == tuple(build_semantic_docs(loaded.graph, loaded.visual.detections))
+
+    def test_stray_docs_json_is_ignored(self, golden_kb, tmp_path):
+        # a card that contradicts graph.json: Cuisine -> Repas is Door_D3, not stairs
+        persist(golden_kb, tmp_path / "kb")
+        route = shortest_route(golden_kb.graph, "Cuisine", "Repas")
+        before = assemble_context(load(tmp_path / "kb"), route).as_prompt_block()
+        cards = [{"doc_id": d.doc_id, "kind": d.kind, "source_refs": list(d.source_refs),
+                  "body": d.body.replace("Via: door", "Via: passage (stairs, no door)")}
+                 for d in golden_kb.docs]
+        (tmp_path / "kb" / "docs.json").write_text(json.dumps(cards))
+        loaded = load(tmp_path / "kb")
+        assert loaded.docs == golden_kb.docs
+        block = assemble_context(loaded, route).as_prompt_block()
+        assert "Via: door | Door ID: Door_D3" in block
+        assert "stairs" not in block
+        assert block == before
+
+    def test_persist_over_a_v2_store_writes_a_loadable_v3_store(self, golden_kb, tmp_path):
+        store = tmp_path / "kb"
+        store.mkdir()
+        (store / "manifest.json").write_text(json.dumps({"schema_version": 2, "building_id": "old"}))
+        (store / "docs.json").write_text("[]")
+        persist(golden_kb, store)
+        assert load(store) == golden_kb
+        assert (store / "docs.json").read_text() == "[]"  # left behind, never read
 
     def test_persist_refuses_matrix_not_derived_from_edges(self, golden_graph):
         # such a KB cannot be persisted because its graph cannot be built
@@ -391,17 +415,6 @@ def _non_object_edge(store: Path, rng: random.Random) -> None:
           lambda graph: graph["edges"].insert(rng.randrange(len(graph["edges"]) + 1), 1))
 
 
-def _doc_ref_to_unknown_room(store: Path, rng: random.Random) -> None:
-    _edit(store / "docs.json",
-          lambda docs: rng.choice(docs)["source_refs"].append("Attic"))
-
-
-def _drop_door_card(store: Path, rng: random.Random) -> None:
-    def change(docs):
-        docs.remove(rng.choice([d for d in docs if d["kind"] == "door"]))
-    _edit(store / "docs.json", change)
-
-
 def _huge_dimension(store: Path, rng: random.Random) -> None:
     _edit(store / "vectors.json", lambda vectors: vectors.update(dimension=10 ** rng.randint(6, 12)))
 
@@ -431,22 +444,46 @@ def _non_string_label_name(store: Path, rng: random.Random) -> None:
     _edit(store / "visual.json", change)
 
 
+def _set_label(store: Path, rng: random.Random, label) -> None:
+    def change(visual):
+        visual["labels"][rng.randrange(len(visual["labels"]))] = label
+    _edit(store / "visual.json", change)
+
+
+def _name_only_label(store: Path, rng: random.Random) -> None:
+    _set_label(store, rng, ["Hall"])
+
+
+def _string_label(store: Path, rng: random.Random) -> None:
+    _set_label(store, rng, "Hall")
+
+
+def _string_label_coordinate(store: Path, rng: random.Random) -> None:
+    _set_label(store, rng, ["Hall", [1, "x"]])
+
+
+def _bool_label_coordinate(store: Path, rng: random.Random) -> None:
+    _set_label(store, rng, ["Hall", [rng.choice([True, False]), 400]])
+
+
 def _v1_manifest(store: Path, rng: random.Random) -> None:
     _edit(store / "manifest.json",
           lambda manifest: manifest.update(schema_version=1, dimension=256))
+
+
+def _v2_manifest(store: Path, rng: random.Random) -> None:
+    _edit(store / "manifest.json", lambda manifest: manifest.update(schema_version=2))
 
 
 TAMPERS = {
     "adjacency-matrix": (_add_matrix, CorruptStoreError, "adjacency_matrix"),
     "edge-to-unknown-room": (_edge_to_unknown_room, CorruptStoreError, "unknown room 'Attic'"),
     "non-object-edge": (_non_object_edge, CorruptStoreError, "edge record must be an object"),
-    "doc-ref-to-unknown-room": (_doc_ref_to_unknown_room, CorruptStoreError,
-                                "unknown room 'Attic'"),
-    "missing-door-card": (_drop_door_card, CorruptStoreError, "cards, the graph needs"),
     "huge-dimension": (_huge_dimension, CorruptStoreError, "dimension must be an integer"),
     "non-string-rejected": (_non_string_rejected, CorruptStoreError,
                             "rejected must be an array of strings"),
-    "v1-manifest": (_v1_manifest, StoreVersionError, "store has 1, expected 2"),
+    "v1-manifest": (_v1_manifest, StoreVersionError, "store has 1, expected 3"),
+    "v2-manifest": (_v2_manifest, StoreVersionError, "store has 2, expected 3"),
     "array-manifest": (_array_manifest, CorruptStoreError,
                        "manifest.json must hold a JSON object, got list"),
     "non-object-visual": (_array_visual, CorruptStoreError,
@@ -455,6 +492,18 @@ TAMPERS = {
                                   r"visual.json: label '.+' position must be two numbers"),
     "non-string-label-name": (_non_string_label_name, CorruptStoreError,
                               "visual.json: label name must be a string, got "),
+    "name-only-label": (_name_only_label, CorruptStoreError,
+                        r"visual.json: label must be a \[name, \[x, y\]\] pair, "
+                        r"got \['Hall'\] \(labels\[\d+\]\)"),
+    "string-label": (_string_label, CorruptStoreError,
+                     r"visual.json: label must be a \[name, \[x, y\]\] pair, "
+                     r"got 'Hall' \(labels\[\d+\]\)"),
+    "string-label-coordinate": (_string_label_coordinate, CorruptStoreError,
+                                r"visual.json: label 'Hall' position must be two numbers, "
+                                r"got \[1, 'x'\] \(labels\[\d+\]\)"),
+    "bool-label-coordinate": (_bool_label_coordinate, CorruptStoreError,
+                              r"visual.json: label 'Hall' position must be two numbers, "
+                              r"got \[(True|False), 400\] \(labels\[\d+\]\)"),
 }
 
 
